@@ -113,9 +113,9 @@ def _rows_to_output(header: list[str], rows: list[list[str]], fmt: str) -> str:
 def cmd_sweep_fidelity(cfg: SweepConfig) -> str:
     """n_bar sweep of numeric and closed-form fidelity.
 
-    The numeric column must be monotonically nonincreasing (the heated
-    state only moves away from the pure target); a violation beyond 1e-10
-    aborts the run.
+    The numeric column must be monotonically nonincreasing in n_bar (the
+    heated state only moves away from the pure target), so nondecreasing
+    along a descending sweep; a violation beyond 1e-10 aborts the run.
     """
     def point(n_bar):
         params = thermal.ThermalParams.from_mean_occupation(n_bar)
@@ -126,11 +126,15 @@ def cmd_sweep_fidelity(cfg: SweepConfig) -> str:
 
     results = _map_points(point, list(cfg.n_bar_values()))
     numeric = [r[1] for r in results]
+    ascending = cfg.n_bar_end >= cfg.n_bar_start
     for i in range(1, len(numeric)):
-        if numeric[i] > numeric[i - 1] + 1e-10:
+        # (colder, hotter) fidelities of the two neighbouring points
+        cold, hot = ((numeric[i - 1], numeric[i]) if ascending
+                     else (numeric[i], numeric[i - 1]))
+        if hot > cold + 1e-10:
             raise RuntimeError(
-                f"fidelity increased from {numeric[i-1]:.12f} to "
-                f"{numeric[i]:.12f} between sweep points {i-1} and {i}")
+                f"fidelity increased with n_bar, from {cold:.12f} to "
+                f"{hot:.12f}, between sweep points {i-1} and {i}")
     rows = [[_fmt(nb), _fmt(fn), _fmt(fc), _fmt(d)]
             for nb, fn, fc, d in results]
     header = ["n_bar", "fidelity_numeric", "fidelity_closed_form", "discrepancy"]
@@ -171,23 +175,22 @@ def cmd_sweep_mandel(cfg: SweepConfig) -> str:
 
 def cmd_wigner_grid(cfg: SweepConfig) -> str:
     """Wigner function on a phase-space grid for one n_bar, with a JSON
-    sidecar of normalization metadata next to the main file."""
+    sidecar of normalization metadata next to the main file.
+
+    The numeric grid is evaluated once (widened as needed) and shared by
+    the w_numeric column and the closed-form audit."""
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
     cutoff = cfg.resolved_cutoff(n_bar)
-    closed, report = observables.wigner_closed_form(
+    numeric, closed, report = observables._wigner_audit(
         cfg.amps, params, cfg.grid, cutoff)
-    numeric = observables.wigner_from_density(
-        thermal.thermal_state_density_expansion(cfg.amps, params, cutoff),
-        closed.spec, widen=False)
 
-    q_axis = closed.spec.q_axis()
-    p_axis = closed.spec.p_axis()
-    rows = []
-    for i, qv in enumerate(q_axis):
-        for j, pv in enumerate(p_axis):
-            rows.append([_fmt(qv), _fmt(pv),
-                         _fmt(numeric.values[i, j]), _fmt(closed.values[i, j])])
+    q_text = [_fmt(v) for v in closed.spec.q_axis().tolist()]
+    p_text = [_fmt(v) for v in closed.spec.p_axis().tolist()]
+    rows = [[qt, pt, _fmt(wn), _fmt(wc)]
+            for qt, numeric_row, closed_row in zip(
+                q_text, numeric.values.tolist(), closed.values.tolist())
+            for pt, wn, wc in zip(p_text, numeric_row, closed_row)]
     header = ["q", "p", "w_numeric", "w_closed_form"]
     text = _rows_to_output(header, rows, cfg.format)
     _write_text(cfg.out, text)
@@ -246,11 +249,19 @@ def _parse_amps(text: str) -> thermal.PhysicalAmplitudes:
     raise ValueError("--amps expects x,y,z,w or re,im pairs (8 values)")
 
 
+def _parse_nbar(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"n_bar must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def _parse_nbar_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--nbar-range expects start:end:steps")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return _parse_nbar(parts[0]), _parse_nbar(parts[1]), int(parts[2])
 
 
 def _parse_grid(text: str) -> observables.GridSpec:
@@ -287,7 +298,7 @@ def _read_config_file(path: str) -> dict:
 _CONFIG_PARSERS = {
     "amps": _parse_amps,
     "nbar_range": _parse_nbar_range,
-    "nbar": float,
+    "nbar": _parse_nbar,
     "cutoff": _parse_cutoff,
     "tail_tol": float,
     "grid": _parse_grid,
@@ -330,7 +341,7 @@ def _add_shared_flags(sub):
     sub.add_argument("--nbar-range", dest="nbar_range",
                      type=_parse_nbar_range, default=None,
                      help="sweep range start:end:steps")
-    sub.add_argument("--nbar", type=float, default=None,
+    sub.add_argument("--nbar", type=_parse_nbar, default=None,
                      help="single occupation value")
     sub.add_argument("--cutoff", type=_parse_cutoff, default=None,
                      help="Fock cutoff, integer or 'auto'")
@@ -363,8 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _build_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _build_config(args)
+    except argparse.ArgumentTypeError as exc:  # bad n_bar in a config file
+        parser.error(str(exc))
     if args.command == "sweep-fidelity":
         cmd_sweep_fidelity(cfg)
         return 0

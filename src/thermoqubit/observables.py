@@ -295,20 +295,17 @@ def laguerre_assoc(n: int, k: int, arg):
     """L_n^k(arg) by the stable three-term recurrence.
 
     L_m^k = ((2m - 1 + k - arg) L_{m-1}^k - (m - 1 + k) L_{m-2}^k) / m,
-    with L_0 = 1 and L_1 = 1 + k - arg.  Accepts scalar or array argument.
+    with L_0 = 1 and L_1 = 1 + k - arg: `_scaled_laguerre_steps` under a
+    unit envelope.  Accepts scalar or array argument.
     """
     if n < 0 or k < 0:
         raise ValueError("laguerre_assoc requires n >= 0 and k >= 0")
     if n > 600:
         raise ValueError(f"degree {n} beyond the supported range (600)")
     arg = np.asarray(arg, dtype=float)
-    prev = np.ones_like(arg)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + k - arg
-    for m in range(2, n + 1):
-        prev, cur = cur, ((2 * m - 1 + k - arg) * cur - (m - 1 + k) * prev) / m
-    return cur if cur.ndim else float(cur)
+    for _, cur in _scaled_laguerre_steps(k, n, arg, np.ones_like(arg)):
+        pass
+    return cur if np.ndim(cur) else float(cur)
 
 
 def _scaled_laguerre_steps(k: int, top: int, arg: np.ndarray,
@@ -335,6 +332,14 @@ def _scaled_laguerre_steps(k: int, top: int, arg: np.ndarray,
 # Wigner function, numeric path
 # ---------------------------------------------------------------------------
 
+def _radial_grid(q: np.ndarray, p: np.ndarray):
+    """Meshgrid of (q, p), the distinct r^2 = q^2 + p^2 on it (sorted), and
+    for each grid point the index of its r^2 among them."""
+    qg, pg = np.meshgrid(q, p, indexing="ij")
+    r2, inv = np.unique((qg**2 + pg**2).ravel(), return_inverse=True)
+    return qg, pg, r2, inv.reshape(qg.shape)
+
+
 def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """W(q, p) = sum_{m,n} rho[m, n] K[n, m] with the Fock-basis kernel.
 
@@ -344,10 +349,17 @@ def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     sum is organized by diagonal offset with a fixed loop order so results
     are deterministic, and the Gaussian envelope is folded into the
     Laguerre recurrence to avoid overflow.
+
+    Radial factorization: the offset-m term is (2 conj(alpha))^m (or its
+    conjugate, for the upper diagonal) times a function of r^2 alone, so
+    the recurrence and both diagonal sums run only on the distinct r^2 of
+    the grid (5,924 of 66,049 points on the default grid) and are
+    scattered back once per offset before the phase factor is applied.
+    Every grid point goes through the same arithmetic as a point-by-point
+    evaluation, so the values do not depend on the factorization.
     """
     dim = rho.shape[0]
-    qg, pg = np.meshgrid(q, p, indexing="ij")
-    r2 = qg**2 + pg**2
+    qg, pg, r2, inv = _radial_grid(q, p)
     x_arg = 2.0 * r2                    # = 4 |alpha|^2
     with np.errstate(under="ignore"):
         envelope = np.exp(-r2)          # = exp(-2 |alpha|^2)
@@ -361,17 +373,17 @@ def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         ns = np.arange(n_top + 1, dtype=float)
         weights = ((-1.0) ** np.arange(n_top + 1)
                    * np.exp(0.5 * (gammaln(ns + 1) - gammaln(ns + off + 1))))
-        acc_lower = np.zeros(qg.shape, dtype=complex)
-        acc_upper = np.zeros(qg.shape, dtype=complex)
+        acc_lower = np.zeros(r2.shape, dtype=complex)
+        acc_upper = np.zeros(r2.shape, dtype=complex)
         for n, scaled_l in _scaled_laguerre_steps(off, n_top, x_arg, envelope):
             acc_lower += (lower[n] * weights[n]) * scaled_l
             if off:
                 acc_upper += (upper[n] * weights[n]) * scaled_l
-        factor = (np.sqrt(2.0) * (qg - 1j * pg)) ** off   # (2 conj(alpha))^off
         if off == 0:
-            w += acc_lower
+            w += acc_lower[inv]
         else:
-            w += factor * acc_lower + np.conj(factor) * acc_upper
+            factor = (np.sqrt(2.0) * (qg - 1j * pg)) ** off  # (2 conj(alpha))^off
+            w += factor * acc_lower[inv] + np.conj(factor) * acc_upper[inv]
     w /= math.pi
     imag_max = float(np.abs(w.imag).max())
     if imag_max > 1e-10:
@@ -470,6 +482,19 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     params (the printed series is known to carry typos; the numeric grid
     is ground truth).
     """
+    _, closed, report = _wigner_audit(amps, params, grid, cutoff, grid_tol)
+    return closed, report
+
+
+def _wigner_audit(amps: PhysicalAmplitudes, params: ThermalParams,
+                  grid: GridSpec | None, cutoff, grid_tol: float = GRID_TOL_DEFAULT
+                  ) -> tuple[WignerGrid, WignerGrid, ObservableReport]:
+    """`wigner_closed_form`, also returning the numeric grid it audits
+    against: (numeric, closed, report).
+
+    Each printed family is summed on the distinct r^2 of the grid and
+    scattered back once, times its phase-space prefactor.
+    """
     amps.require_normalized()
     if not amps.is_real():
         raise ValueError("closed-form Wigner series requires real amplitudes")
@@ -478,8 +503,8 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     numeric = wigner_from_density(rho, grid, grid_tol=grid_tol)
     spec = numeric.spec
 
-    qg, pg = np.meshgrid(spec.q_axis(), spec.p_axis(), indexing="ij")
-    x_arg = 2.0 * (qg**2 + pg**2)
+    qg, pg, r2, inv = _radial_grid(spec.q_axis(), spec.p_axis())
+    x_arg = 2.0 * r2
     with np.errstate(under="ignore"):
         envelope = np.exp(-x_arg / 2.0)
     k, k1 = params.k, params.k1
@@ -495,12 +520,15 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     total = np.zeros_like(qg)
     for kk in sorted(by_k):
         group = by_k[kk]
+        radial = [np.zeros_like(r2) for _ in group]
         top = cutoff + max(shift for shift, _, _ in group)
         for m, scaled_l in _scaled_laguerre_steps(kk, top, x_arg, envelope):
-            for shift, pref, weight in group:
+            for (shift, _, weight), acc in zip(group, radial):
                 n = m - shift
                 if 0 <= n <= cutoff:
-                    total += (geom[n] * n_signed[n] * weight(n)) * pref * scaled_l
+                    acc += (geom[n] * n_signed[n] * weight(n)) * scaled_l
+        for (_, pref, _), acc in zip(group, radial):
+            total += pref * acc[inv]
     values = k * CLOSED_FORM_WIGNER_SCALE * total
     closed = WignerGrid(spec, values)
 
@@ -515,4 +543,4 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
             grid=[spec.q_min, spec.q_max, spec.p_min, spec.p_max,
                   spec.nq, spec.np],
         ))
-    return closed, report
+    return numeric, closed, report

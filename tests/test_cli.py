@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from thermoqubit import cli
-from thermoqubit.observables import GridSpec
+from thermoqubit import cli, observables
+from thermoqubit.observables import GridSpec, ObservableReport
 from thermoqubit.thermal import PhysicalAmplitudes
 
 
@@ -111,6 +111,61 @@ def test_sweep_fidelity_csv_round_trip(fidelity_csv):
         assert abs(float(row["fidelity_numeric"]) - recomputed) < 1e-9
 
 
+def test_sweep_fidelity_descending(tmp_path):
+    down = tmp_path / "down.csv"
+    up = tmp_path / "up.csv"
+    assert cli.main(["sweep-fidelity", "--nbar-range", "2:0:5",
+                     "--out", str(down)]) == 0
+    assert cli.main(["sweep-fidelity", "--nbar-range", "0:2:5",
+                     "--out", str(up)]) == 0
+    rows_down = read_csv(down)
+    assert [float(r["n_bar"]) for r in rows_down] == [2.0, 1.5, 1.0, 0.5, 0.0]
+    assert rows_down == read_csv(up)[::-1]
+
+
+@pytest.mark.parametrize("n_bar_range", ["0:2:5", "2:0:5"])
+def test_sweep_fidelity_monotone_check_follows_direction(
+        tmp_path, monkeypatch, n_bar_range):
+    # a fidelity that grows with n_bar must abort either sweep direction
+    def rising(amps, params, cutoff):
+        return ObservableReport.compare(params.n_bar, params.n_bar, {})
+
+    monkeypatch.setattr(observables, "fidelity_closed_form", rising)
+    with pytest.raises(RuntimeError, match="fidelity increased"):
+        cli.main(["sweep-fidelity", "--nbar-range", n_bar_range,
+                  "--out", str(tmp_path / "fid.csv")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner-grid", "--nbar", "nan"],
+    ["wigner-grid", "--nbar", "inf"],
+    ["wigner-grid", "--nbar", "-1"],
+    ["sweep-fidelity", "--nbar-range", "0:inf:3"],
+    ["sweep-fidelity", "--nbar-range", "2:-1:3"],
+    ["sweep-mandel", "--nbar-range=-1:2:3"],
+    ["sweep-mandel", "--nbar-range", "nan:1:3"],
+])
+def test_bad_nbar_rejected_before_work(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "n_bar must be finite and nonnegative" in err
+    assert "Traceback" not in err
+
+
+def test_bad_nbar_in_config_file_rejected(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("nbar=nan\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wigner-grid", "--config", str(conf),
+                  "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [conf]
+    assert "n_bar must be finite and nonnegative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep-mandel
 # ---------------------------------------------------------------------------
@@ -188,6 +243,24 @@ def test_wigner_grid_hot_negativity_suppressed(tmp_path):
     neg_hot = json.loads((tmp_path / "w10.csv.meta.json").read_text())[
         "negativity_volume_numeric"]
     assert neg_hot < neg_cold
+
+
+@pytest.mark.parametrize("n_bar, evaluations", [("0.1", 1), ("1", 2), ("10", 3)])
+def test_wigner_grid_evaluates_each_grid_once(tmp_path, monkeypatch,
+                                              n_bar, evaluations):
+    # the default grid widens 0, 1 and 2 times at these n_bar; nothing
+    # beyond the widening is evaluated again
+    calls = []
+    kernel = observables._wigner_values
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(observables, "_wigner_values", counted)
+    assert cli.main(["wigner-grid", "--nbar", n_bar,
+                     "--out", str(tmp_path / "w.csv")]) == 0
+    assert len(calls) == evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from thermoqubit.fock import FockMatrix
 from thermoqubit.observables import (
     CLOSED_FORM_WIGNER_SCALE,
     GridSpec,
+    _wigner_values,
+    laguerre_assoc,
     wigner_closed_form,
     wigner_from_density,
     wigner_negativity,
@@ -121,6 +123,53 @@ def test_widening_exhausted_raises():
     coarse = GridSpec(-33, 33, -33, 33, 5, 5)
     with pytest.raises(GridWideningError):
         wigner_from_density(rho, coarse, widen=True)
+
+
+def direct_wigner(rho, q, p):
+    """Point-by-point Fock-kernel sum, one matrix element at a time."""
+    dim = rho.shape[0]
+    out = np.empty((len(q), len(p)), dtype=complex)
+    for i, qv in enumerate(q):
+        for j, pv in enumerate(p):
+            alpha = complex(qv, pv) / math.sqrt(2.0)
+            x = 4.0 * abs(alpha) ** 2
+            total = 0j
+            for m in range(dim):
+                for n in range(dim):
+                    lo, hi = min(m, n), max(m, n)
+                    radial = ((-1) ** lo
+                              * math.sqrt(math.factorial(lo) / math.factorial(hi))
+                              * math.exp(-x / 2.0)
+                              * laguerre_assoc(lo, hi - lo, x))
+                    phase = ((2.0 * alpha.conjugate()) ** (m - n) if m >= n
+                             else (2.0 * alpha) ** (n - m))
+                    total += rho[m, n] * phase * radial
+            out[i, j] = total / math.pi
+    return out
+
+
+def random_complex_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("q, p", [
+    # off-centre, nq != np: almost every r^2 is distinct
+    (np.linspace(-1.3, 2.1, 7), np.linspace(-0.7, 1.9, 5)),
+    # symmetric: most r^2 repeat, so the scatter reuses radial values
+    (np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, 2.0, 9)),
+])
+def test_kernel_matches_direct_sum(q, p):
+    rho = random_complex_density(6, seed=7)
+    upper = rho[np.triu_indices(6, 1)]  # complex, so every upper diagonal
+    assert np.abs(upper.imag).min() > 0.0  # and its conjugate phase count
+    reference = direct_wigner(rho, q, p)
+    assert np.abs(reference.imag).max() < 1e-12
+    got = _wigner_values(rho, q, p)
+    assert got.shape == (len(q), len(p))
+    assert np.abs(got - reference.real).max() <= 1e-12
 
 
 def test_deterministic_values():
