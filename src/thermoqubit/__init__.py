@@ -12,16 +12,10 @@ from .errors import CutoffError, GridWideningError, MandelUndefinedError
 from .fock import (
     FockMatrix,
     FockVector,
-    basis_state,
     build_ladder,
-    composite_index,
     identity,
-    matrix_exponential,
-    number_operator,
-    partial_trace,
     reduce_pure_state,
     tensor_product,
-    tensor_state,
 )
 from .gates import (
     LogicalState,
@@ -51,7 +45,6 @@ from .thermal import (
     ThermalParams,
     auto_cutoff,
     beta_omega_from_occupation,
-    bogoliubov_factors,
     bogoliubov_unitary,
     gate_thermalization_residual,
     mean_occupation,
@@ -80,13 +73,10 @@ __all__ = [
     "ThermalParams",
     "WignerGrid",
     "auto_cutoff",
-    "basis_state",
     "beta_omega_from_occupation",
-    "bogoliubov_factors",
     "bogoliubov_unitary",
     "build_ladder",
     "cnot_logical",
-    "composite_index",
     "decode",
     "encode",
     "evolve_half_period",
@@ -98,14 +88,10 @@ __all__ = [
     "laguerre_assoc",
     "mandel_closed_form",
     "mandel_numeric",
-    "matrix_exponential",
     "mean_occupation",
-    "number_operator",
-    "partial_trace",
     "reduce_pure_state",
     "run_verification",
     "tensor_product",
-    "tensor_state",
     "thermal_number_states",
     "thermal_state_density_expansion",
     "thermal_state_density_operator",

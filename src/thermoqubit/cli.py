@@ -3,17 +3,14 @@ verification suite, emitting CSV/JSON suitable for plotting and CI.
 
 Subcommands: sweep-fidelity, sweep-mandel, wigner-grid, verify.
 Floats are written as %.9e so identical configurations always produce
-byte-identical files.  THERMOQUBIT_THREADS caps sweep parallelism
-(0 or unset = auto).
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -67,28 +64,6 @@ class SweepConfig:
             None if self.cutoff == "auto" else self.cutoff, params, self.tail_tol)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("THERMOQUBIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"THERMOQUBIT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("THERMOQUBIT_THREADS must be nonnegative")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
-
-
-def _map_points(fn, points):
-    """Evaluate fn over sweep points, possibly in parallel, order preserved."""
-    workers = _thread_count()
-    if workers <= 1 or len(points) <= 1:
-        return [fn(p) for p in points]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def _write_text(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
@@ -124,7 +99,7 @@ def cmd_sweep_fidelity(cfg: SweepConfig) -> str:
         return (n_bar, report.value_numeric, report.value_closed_form,
                 report.abs_discrepancy)
 
-    results = _map_points(point, list(cfg.n_bar_values()))
+    results = [point(n_bar) for n_bar in cfg.n_bar_values()]
     numeric = [r[1] for r in results]
     ascending = cfg.n_bar_end >= cfg.n_bar_start
     for i in range(1, len(numeric)):
@@ -164,7 +139,7 @@ def cmd_sweep_mandel(cfg: SweepConfig) -> str:
             nan = float("nan")
             return (n_bar, nan, nan, nan)
 
-    results = _map_points(point, list(cfg.n_bar_values()))
+    results = [point(n_bar) for n_bar in cfg.n_bar_values()]
     rows = [[_fmt(nb), _fmt(qn), _fmt(qc), _fmt(d), _regime(qn)]
             for nb, qn, qc, d in results]
     header = ["n_bar", "q_numeric", "q_closed_form", "discrepancy", "regime"]
@@ -221,12 +196,11 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
     return text
 
 
-def cmd_verify(cfg: SweepConfig | None = None, out: str = "-") -> int:
+def cmd_verify(cfg: SweepConfig) -> int:
     """Run the full cross-oracle suite; exit status 0 iff everything passed."""
-    amps = cfg.amps if cfg is not None else thermal.DEFAULT_AMPLITUDES
-    report = verify.run_verification(amps)
+    report = verify.run_verification(cfg.amps)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write_text(out if cfg is None else cfg.out, text)
+    _write_text(cfg.out, text)
     if not report["all_passed"]:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         sys.stderr.write(f"FAILED checks: {', '.join(sorted(set(failed)))}\n")
@@ -261,7 +235,11 @@ def _parse_nbar_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--nbar-range expects start:end:steps")
-    return _parse_nbar(parts[0]), _parse_nbar(parts[1]), int(parts[2])
+    start, end, steps = parts
+    if not (steps.isdecimal() and int(steps) >= 2):
+        raise argparse.ArgumentTypeError(
+            f"n_bar range needs an integer of at least 2 steps, got {steps!r}")
+    return _parse_nbar(start), _parse_nbar(end), int(steps)
 
 
 def _parse_grid(text: str) -> observables.GridSpec:
@@ -277,7 +255,25 @@ def _parse_grid(text: str) -> observables.GridSpec:
 
 
 def _parse_cutoff(text: str):
-    return "auto" if text == "auto" else int(text)
+    if text == "auto":
+        return text
+    low, high = thermal._CUTOFF_FLOOR, thermal.CUTOFF_CAP
+    if not (text.isdecimal() and low <= int(text) <= high):
+        raise argparse.ArgumentTypeError(
+            f"cutoff must be 'auto' or an integer in [{low}, {high}], "
+            f"got {text!r}")
+    return int(text)
+
+
+def _parse_tail_tol(text: str) -> float:
+    # the density builders re-check every cutoff at TAIL_TOL_DEFAULT, so a
+    # looser tolerance could never take effect
+    value = float(text)
+    if not 0.0 < value <= thermal.TAIL_TOL_DEFAULT:  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            f"tail_tol must be in (0, {thermal.TAIL_TOL_DEFAULT:g}], "
+            f"got {text!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -300,7 +296,7 @@ _CONFIG_PARSERS = {
     "nbar_range": _parse_nbar_range,
     "nbar": _parse_nbar,
     "cutoff": _parse_cutoff,
-    "tail_tol": float,
+    "tail_tol": _parse_tail_tol,
     "grid": _parse_grid,
     "out": str,
     "format": str,
@@ -345,7 +341,8 @@ def _add_shared_flags(sub):
                      help="single occupation value")
     sub.add_argument("--cutoff", type=_parse_cutoff, default=None,
                      help="Fock cutoff, integer or 'auto'")
-    sub.add_argument("--tail-tol", dest="tail_tol", type=float, default=None,
+    sub.add_argument("--tail-tol", dest="tail_tol", type=_parse_tail_tol,
+                     default=None,
                      help="truncation tail tolerance")
     sub.add_argument("--grid", type=_parse_grid, default=None,
                      help="phase-space grid qmin:qmax:nq,pmin:pmax:np")
@@ -378,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-    except argparse.ArgumentTypeError as exc:  # bad n_bar in a config file
+    except (argparse.ArgumentTypeError, ValueError) as exc:  # bad config file
         parser.error(str(exc))
     if args.command == "sweep-fidelity":
         cmd_sweep_fidelity(cfg)

@@ -14,10 +14,9 @@ construction so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 def _frozen_array(data, dtype=complex) -> np.ndarray:
@@ -55,9 +54,6 @@ class FockMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def dagger(self) -> "FockMatrix":
-        return FockMatrix(self.data.conj().T, self.cutoff, self.mode_count)
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
@@ -70,19 +66,6 @@ class FockMatrix:
                 raise ValueError("operator and vector live on different spaces")
             return FockVector(self.data @ other.data, self.cutoff, self.mode_count)
         return NotImplemented
-
-    def __add__(self, other: "FockMatrix") -> "FockMatrix":
-        self._check_compatible(other)
-        return FockMatrix(self.data + other.data, self.cutoff, self.mode_count)
-
-    def __sub__(self, other: "FockMatrix") -> "FockMatrix":
-        self._check_compatible(other)
-        return FockMatrix(self.data - other.data, self.cutoff, self.mode_count)
-
-    def __mul__(self, scalar) -> "FockMatrix":
-        return FockMatrix(self.data * scalar, self.cutoff, self.mode_count)
-
-    __rmul__ = __mul__
 
     def _check_compatible(self, other: "FockMatrix"):
         if (other.cutoff, other.mode_count) != (self.cutoff, self.mode_count):
@@ -116,18 +99,9 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
-    def overlap(self, other: "FockVector") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.data, other.data))
-
     def projector(self) -> FockMatrix:
         return FockMatrix(np.outer(self.data, self.data.conj()),
                           self.cutoff, self.mode_count)
-
-
-def composite_index(n: int, n_tilde: int, cutoff: int) -> int:
-    """Index of |n, n_tilde> in the doubled space (original mode fastest)."""
-    return n_tilde * (cutoff + 1) + n
 
 
 def build_ladder(cutoff: int) -> tuple[FockMatrix, FockMatrix]:
@@ -148,21 +122,6 @@ def identity(cutoff: int, mode_count: int = 1) -> FockMatrix:
     return FockMatrix(np.eye((cutoff + 1) ** mode_count), cutoff, mode_count)
 
 
-def number_operator(cutoff: int) -> FockMatrix:
-    """N = a^dagger a, diagonal 0..cutoff."""
-    return FockMatrix(np.diag(np.arange(cutoff + 1, dtype=float)), cutoff)
-
-
-def basis_state(cutoff: int, n: int, mode_count: int = 1) -> FockVector:
-    """Single basis vector; for two modes `n` is the composite index."""
-    dim = (cutoff + 1) ** mode_count
-    if not 0 <= n < dim:
-        raise ValueError(f"basis index {n} out of range for dim {dim}")
-    vec = np.zeros(dim)
-    vec[n] = 1.0
-    return FockVector(vec, cutoff, mode_count)
-
-
 def tensor_product(a: FockMatrix, b: FockMatrix) -> FockMatrix:
     """Two-mode operator acting as `a` on the original mode and `b` on the
     tilde mode, laid out in the composite index convention above."""
@@ -174,59 +133,10 @@ def tensor_product(a: FockMatrix, b: FockMatrix) -> FockMatrix:
     return FockMatrix(np.kron(b.data, a.data), a.cutoff, mode_count=2)
 
 
-def tensor_state(a: FockVector, b: FockVector) -> FockVector:
-    """Product state |a> on the original mode, |b> on the tilde mode."""
-    if a.mode_count != 1 or b.mode_count != 1:
-        raise ValueError("tensor_state expects two single-mode vectors")
-    if a.cutoff != b.cutoff:
-        raise ValueError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    return FockVector(np.kron(b.data, a.data), a.cutoff, mode_count=2)
-
-
-def matrix_exponential(m: FockMatrix) -> FockMatrix:
-    """exp(m) by scaling-and-squaring (scipy.linalg.expm).
-
-    Accurate to better than 1e-12 relative error for the well-conditioned
-    anti-Hermitian generators used here at cutoffs up to 64 per mode.
-    Real-valued input is exponentiated in real arithmetic (the result is
-    real), which is several times faster at large dimensions.
-    """
-    if not np.all(np.isfinite(m.data)):
-        raise ValueError("matrix entries must be finite")
-    dense = np.asarray(m.data)
-    if not np.any(dense.imag):
-        dense = dense.real
-    return FockMatrix(scipy.linalg.expm(dense), m.cutoff, m.mode_count)
-
-
-def _as_four_index(rho: FockMatrix) -> np.ndarray:
-    d = rho.cutoff + 1
-    # row composite (nt', n'), column composite (nt, n)
-    return rho.data.reshape(d, d, d, d)
-
-
-def partial_trace(rho: FockMatrix, keep: str = "original") -> FockMatrix:
-    """Trace out one mode of a two-mode operator.
-
-    keep="original" returns the reduced operator on the original mode,
-    keep="tilde" on the tilde mode.  The total trace is preserved.
-    """
-    if rho.mode_count != 2:
-        raise ValueError("partial_trace expects a two-mode operator")
-    r4 = _as_four_index(rho)
-    if keep == "original":
-        reduced = np.einsum("tmtn->mn", r4)
-    elif keep == "tilde":
-        reduced = np.einsum("tmsm->ts", r4)
-    else:
-        raise ValueError("keep must be 'original' or 'tilde'")
-    return FockMatrix(reduced, rho.cutoff, mode_count=1)
-
-
 def reduce_pure_state(v: FockVector, keep: str = "original") -> FockMatrix:
     """Reduced single-mode density matrix of a pure two-mode state.
 
-    Equivalent to partial_trace(v.projector(), keep) but never forms the
+    Equivalent to the partial trace of v.projector() but never forms the
     (dim^2 x dim^2) projector, so it stays cheap at large cutoffs.
     """
     if v.mode_count != 2:

@@ -36,7 +36,7 @@ CLOSED_FORM_WIGNER_SCALE = 1.0 / (2.0 * math.pi)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular phase-space grid (oscillator units, length scale b = 1)."""
+    """Rectangular phase-space grid in oscillator units."""
 
     q_min: float = -8.0
     q_max: float = 8.0
@@ -44,7 +44,6 @@ class GridSpec:
     p_max: float = 8.0
     nq: int = 257
     np: int = 257
-    b: float = 1.0  # configurable length scale; q enters as q/b, p as b*p
 
     def __post_init__(self):
         if self.nq < 2 or self.np < 2:
@@ -67,7 +66,7 @@ class GridSpec:
     def doubled(self) -> "GridSpec":
         return GridSpec(2 * self.q_min, 2 * self.q_max,
                         2 * self.p_min, 2 * self.p_max,
-                        self.nq, self.np, self.b)
+                        self.nq, self.np)
 
 
 @dataclass(frozen=True)
@@ -393,14 +392,13 @@ def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
-                        grid_tol: float = GRID_TOL_DEFAULT,
                         widen: bool | None = None) -> WignerGrid:
     """Wigner function of a single-mode density matrix on a (q, p) grid.
 
     When no grid is given, the default [-8, 8]^2 / 257^2 grid is used and
     the bounds are doubled (up to [-32, 32]^2) until the Riemann sum of W
-    matches trace(rho) within grid_tol; an explicit grid is used as-is
-    unless widen=True.
+    matches trace(rho) within GRID_TOL_DEFAULT; an explicit grid is used
+    as-is unless widen=True.
     """
     if rho.mode_count != 1:
         raise ValueError("wigner_from_density expects a single-mode matrix")
@@ -412,13 +410,13 @@ def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
     while True:
         values = _wigner_values(np.asarray(rho.data), spec.q_axis(), spec.p_axis())
         result = WignerGrid(spec, values)
-        if not widen or abs(result.integral() - target) <= grid_tol:
+        if not widen or abs(result.integral() - target) <= GRID_TOL_DEFAULT:
             return result
         if spec.q_max >= 32 or attempts >= 3:
             raise GridWideningError(
                 f"normalization |integral - trace| = "
-                f"{abs(result.integral() - target):.3e} > {grid_tol} on "
-                f"[{spec.q_min}, {spec.q_max}]^2; no wider grid allowed")
+                f"{abs(result.integral() - target):.3e} > {GRID_TOL_DEFAULT} "
+                f"on [{spec.q_min}, {spec.q_max}]^2; no wider grid allowed")
         spec = spec.doubled()
         attempts += 1
 
@@ -444,9 +442,6 @@ def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
     """
     x, y, z, w = [complex(a).real for a in amps.as_tuple()]
     u = params.u
-    b = 1.0
-    qb = qg / b
-    pb = b * pg
     one = np.ones_like(qg)
     return [
         (0, 0, 2 * x**2 * one, lambda n: 1.0),
@@ -454,22 +449,21 @@ def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
         (0, 2, (z**2 / u**4) * one, lambda n: (n + 1.0) * (n + 2.0)),
         (0, 4, (2 * w**2 / (24.0 * u**8)) * one,
          lambda n: (n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0)),
-        (1, 0, (4 * math.sqrt(2.0) * x * y / u) * qb, lambda n: 1.0),
-        (2, 0, (4 * math.sqrt(2.0) * x * z / u**2) * (qb**2 - pb**2),
+        (1, 0, (4 * math.sqrt(2.0) * x * y / u) * qg, lambda n: 1.0),
+        (2, 0, (4 * math.sqrt(2.0) * x * z / u**2) * (qg**2 - pg**2),
          lambda n: 1.0),
         (4, 0, (4 * math.sqrt(6.0) * x * w / (3 * u**4))
-         * (qb**2 + pb**2 - 6 * qb**2 * pb**2), lambda n: 1.0),
-        (1, 1, -(4 * y * z / u**3) * qb, lambda n: n + 1.0),
+         * (qg**2 + pg**2 - 6 * qg**2 * pg**2), lambda n: 1.0),
+        (1, 1, -(4 * y * z / u**3) * qg, lambda n: n + 1.0),
         (3, 1, (4 * math.sqrt(3.0) * y * w / (3 * u**5))
-         * (qb**3 - 3 * qb * pb**2), lambda n: n + 1.0),
-        (2, 2, (2 * math.sqrt(3.0) * w * z / (3 * u**6)) * (qb**2 - pb**2),
+         * (qg**3 - 3 * qg * pg**2), lambda n: n + 1.0),
+        (2, 2, (2 * math.sqrt(3.0) * w * z / (3 * u**6)) * (qg**2 - pg**2),
          lambda n: (n + 1.0) * (n + 2.0)),
     ]
 
 
 def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
-                       grid: GridSpec | None = None, cutoff=None, *,
-                       grid_tol: float = GRID_TOL_DEFAULT
+                       grid: GridSpec | None = None, cutoff=None
                        ) -> tuple[WignerGrid, ObservableReport]:
     """Published closed-form Wigner series, audited against the numeric path.
 
@@ -482,12 +476,12 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     params (the printed series is known to carry typos; the numeric grid
     is ground truth).
     """
-    _, closed, report = _wigner_audit(amps, params, grid, cutoff, grid_tol)
+    _, closed, report = _wigner_audit(amps, params, grid, cutoff)
     return closed, report
 
 
 def _wigner_audit(amps: PhysicalAmplitudes, params: ThermalParams,
-                  grid: GridSpec | None, cutoff, grid_tol: float = GRID_TOL_DEFAULT
+                  grid: GridSpec | None, cutoff
                   ) -> tuple[WignerGrid, WignerGrid, ObservableReport]:
     """`wigner_closed_form`, also returning the numeric grid it audits
     against: (numeric, closed, report).
@@ -500,7 +494,7 @@ def _wigner_audit(amps: PhysicalAmplitudes, params: ThermalParams,
         raise ValueError("closed-form Wigner series requires real amplitudes")
     cutoff = resolve_cutoff(cutoff, params)
     rho = thermal_state_density_expansion(amps, params, cutoff)
-    numeric = wigner_from_density(rho, grid, grid_tol=grid_tol)
+    numeric = wigner_from_density(rho, grid)
     spec = numeric.spec
 
     qg, pg, r2, inv = _radial_grid(spec.q_axis(), spec.p_axis())

@@ -101,11 +101,6 @@ def beta_omega_from_occupation(n_bar: float) -> float:
     return math.log1p(1.0 / n_bar)
 
 
-def bogoliubov_factors(n_bar: float) -> ThermalParams:
-    """ThermalParams for a given occupation: u = sqrt(1+n_bar), v = sqrt(n_bar)."""
-    return ThermalParams.from_mean_occupation(n_bar)
-
-
 @dataclass(frozen=True)
 class PhysicalAmplitudes:
     """Amplitudes (x, y, z, w) on the Fock states |0>, |1>, |2>, |4>."""
@@ -267,6 +262,7 @@ def thermal_state_density_expansion(amps: PhysicalAmplitudes,
     n_all = np.arange(cutoff + 1, dtype=float)
     with np.errstate(under="ignore"):
         geom = k * k1 ** n_all
+    roots = {p: _occupation_shift_root(n_all, p) for p in coeffs}
     rho = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     for p, cp in coeffs.items():
         for q, cq in coeffs.items():
@@ -275,7 +271,7 @@ def thermal_state_density_expansion(amps: PhysicalAmplitudes,
                 continue
             n = np.arange(n_max + 1)
             vals = (cp * np.conj(cq)) * geom[: n_max + 1] \
-                * _occupation_shift_root(n, p) * _occupation_shift_root(n, q)
+                * roots[p][: n_max + 1] * roots[q][: n_max + 1]
             rho[n + p, n + q] += vals
     return FockMatrix(rho, cutoff)
 

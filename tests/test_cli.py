@@ -64,16 +64,6 @@ def test_config_file_and_flag_precedence(tmp_path):
             ["verify", "--config", str(bad)]))
 
 
-def test_thread_env_parsing(monkeypatch):
-    monkeypatch.setenv("THERMOQUBIT_THREADS", "3")
-    assert cli._thread_count() == 3
-    monkeypatch.setenv("THERMOQUBIT_THREADS", "0")
-    assert cli._thread_count() >= 1
-    monkeypatch.setenv("THERMOQUBIT_THREADS", "lots")
-    with pytest.raises(ValueError):
-        cli._thread_count()
-
-
 # ---------------------------------------------------------------------------
 # sweep-fidelity
 # ---------------------------------------------------------------------------
@@ -136,22 +126,42 @@ def test_sweep_fidelity_monotone_check_follows_direction(
                   "--out", str(tmp_path / "fid.csv")])
 
 
-@pytest.mark.parametrize("argv", [
-    ["wigner-grid", "--nbar", "nan"],
-    ["wigner-grid", "--nbar", "inf"],
-    ["wigner-grid", "--nbar", "-1"],
-    ["sweep-fidelity", "--nbar-range", "0:inf:3"],
-    ["sweep-fidelity", "--nbar-range", "2:-1:3"],
-    ["sweep-mandel", "--nbar-range=-1:2:3"],
-    ["sweep-mandel", "--nbar-range", "nan:1:3"],
-])
-def test_bad_nbar_rejected_before_work(tmp_path, capsys, argv):
+NBAR_ERROR = "n_bar must be finite and nonnegative"
+TAIL_TOL_ERROR = "tail_tol must be in (0, 1e-10]"
+CUTOFF_ERROR = "cutoff must be 'auto' or an integer in [8, 512]"
+STEPS_ERROR = "n_bar range needs an integer of at least 2 steps"
+BAD_ARGV = [
+    (["wigner-grid", "--nbar", "nan"], NBAR_ERROR),
+    (["wigner-grid", "--nbar", "inf"], NBAR_ERROR),
+    (["wigner-grid", "--nbar", "-1"], NBAR_ERROR),
+    (["sweep-fidelity", "--nbar-range", "0:inf:3"], NBAR_ERROR),
+    (["sweep-fidelity", "--nbar-range", "2:-1:3"], NBAR_ERROR),
+    (["sweep-mandel", "--nbar-range=-1:2:3"], NBAR_ERROR),
+    (["sweep-mandel", "--nbar-range", "nan:1:3"], NBAR_ERROR),
+    # a looser tail_tol fails later in the density builders' own check
+    (["sweep-fidelity", "--nbar-range", "0:5:3", "--tail-tol", "1e-3"],
+     TAIL_TOL_ERROR),
+    (["sweep-fidelity", "--tail-tol", "nan"], TAIL_TOL_ERROR),
+    (["sweep-mandel", "--tail-tol", "0"], TAIL_TOL_ERROR),
+    (["wigner-grid", "--tail-tol=-1e-12"], TAIL_TOL_ERROR),
+    (["sweep-fidelity", "--cutoff", "-3"], CUTOFF_ERROR),
+    (["sweep-mandel", "--cutoff", "7"], CUTOFF_ERROR),
+    (["wigner-grid", "--cutoff", "513"], CUTOFF_ERROR),
+    (["sweep-fidelity", "--cutoff", "12.5"], CUTOFF_ERROR),
+    (["sweep-fidelity", "--nbar-range", "0:1:1"], STEPS_ERROR),
+    (["sweep-mandel", "--nbar-range", "0:1:two"], STEPS_ERROR),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGV,
+                         ids=[f"argv{i}" for i in range(len(BAD_ARGV))])
+def test_bad_nbar_rejected_before_work(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
-    assert "n_bar must be finite and nonnegative" in err
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -163,7 +173,25 @@ def test_bad_nbar_in_config_file_rejected(tmp_path, capsys):
                   "--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == [conf]
-    assert "n_bar must be finite and nonnegative" in capsys.readouterr().err
+    assert NBAR_ERROR in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tail_tol=1e-3", TAIL_TOL_ERROR),
+    ("cutoff=4", CUTOFF_ERROR),
+    ("nbar_range=0:1:1", STEPS_ERROR),
+], ids=["tail_tol", "cutoff", "nbar_range"])
+def test_bad_config_value_rejected(tmp_path, capsys, line, message):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep-fidelity", "--config", str(conf),
+                  "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [conf]
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +294,6 @@ def test_wigner_grid_evaluates_each_grid_once(tmp_path, monkeypatch,
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def verify_report(tmp_path_factory):
-    out = tmp_path_factory.mktemp("verify") / "report.json"
-    rc = cli.main(["verify", "--out", str(out)])
-    return rc, json.loads(out.read_text())
-
 
 def test_verify_green(verify_report):
     rc, report = verify_report

@@ -2,20 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thermoqubit.fock import (
     FockMatrix,
     FockVector,
-    basis_state,
     build_ladder,
-    composite_index,
     identity,
-    matrix_exponential,
-    number_operator,
-    partial_trace,
     reduce_pure_state,
     tensor_product,
-    tensor_state,
 )
 
 RNG = np.random.default_rng(1234)
@@ -27,9 +22,29 @@ def random_matrix(cutoff):
     return FockMatrix(m, cutoff)
 
 
+def basis_vector(cutoff, n):
+    return FockVector(np.eye(cutoff + 1)[n], cutoff)
+
+
+def random_pure_state(cutoff):
+    d = (cutoff + 1) ** 2
+    v = RNG.normal(size=d) + 1j * RNG.normal(size=d)
+    return FockVector(v / np.linalg.norm(v), cutoff, mode_count=2)
+
+
+def partial_trace(rho, keep):
+    """Reference partial trace of a two-mode operator; rows and columns
+    are composite indices (n_tilde, n), original mode fastest."""
+    d = rho.cutoff + 1
+    r4 = rho.data.reshape(d, d, d, d)
+    if keep == "original":
+        return np.einsum("tmtn->mn", r4)
+    return np.einsum("tmsm->ts", r4)
+
+
 def test_lowering_on_one():
     low, _ = build_ladder(6)
-    one = basis_state(6, 1)
+    one = basis_vector(6, 1)
     out = low @ one
     expect = np.zeros(7)
     expect[0] = 1.0
@@ -38,7 +53,7 @@ def test_lowering_on_one():
 
 def test_raising_on_vacuum():
     _, rai = build_ladder(6)
-    out = rai @ basis_state(6, 0)
+    out = rai @ basis_vector(6, 0)
     expect = np.zeros(7)
     expect[1] = 1.0
     assert np.abs(out.data - expect).max() < 1e-15
@@ -48,12 +63,12 @@ def test_number_diagonal():
     low, rai = build_ladder(10)
     num = (rai @ low).data
     assert abs(num[4, 4] - 4.0) < 1e-14
-    assert np.abs(num - number_operator(10).data).max() < 1e-14
+    assert np.abs(num - np.diag(np.arange(11.0))).max() < 1e-14
 
 
 def test_raising_drops_top_amplitude():
     _, rai = build_ladder(5)
-    top = basis_state(5, 5)
+    top = basis_vector(5, 5)
     assert (rai @ top).norm() == 0.0
 
 
@@ -79,7 +94,7 @@ def test_tensor_dims_and_unit_entry():
     assert ab.dim == a.dim * b.dim
     assert ab.mode_count == 2
 
-    vac_proj = basis_state(3, 0).projector()
+    vac_proj = basis_vector(3, 0).projector()
     both = tensor_product(vac_proj, vac_proj)
     dense = np.asarray(both.data)
     assert abs(dense[0, 0] - 1.0) < 1e-15
@@ -97,8 +112,8 @@ def test_tensor_mixed_product_identity():
 def test_tensor_bilinear():
     a, b, c = random_matrix(3), random_matrix(3), random_matrix(3)
     lhs = tensor_product(FockMatrix(2.0 * a.data + 3.0 * b.data, 3), c)
-    rhs = 2.0 * tensor_product(a, c) + 3.0 * tensor_product(b, c)
-    assert np.abs(lhs.data - rhs.data).max() < 1e-14
+    rhs = 2.0 * tensor_product(a, c).data + 3.0 * tensor_product(b, c).data
+    assert np.abs(lhs.data - rhs).max() < 1e-14
 
 
 def test_tensor_cutoff_mismatch():
@@ -109,42 +124,23 @@ def test_tensor_cutoff_mismatch():
 def test_composite_index_convention():
     # original mode fastest: |n, n_tilde> sits at n_tilde*(c+1) + n
     c = 3
-    ket_n = basis_state(c, 2)
-    ket_nt = basis_state(c, 1)
-    both = tensor_state(ket_n, ket_nt)
-    idx = composite_index(2, 1, c)
-    assert idx == 1 * 4 + 2
-    assert abs(both.data[idx] - 1.0) < 1e-15
+    both = tensor_product(basis_vector(c, 2).projector(),
+                          basis_vector(c, 1).projector())
+    idx = 1 * 4 + 2
+    assert abs(both.data[idx, idx] - 1.0) < 1e-15
     assert np.abs(both.data).sum() == pytest.approx(1.0)
-
-
-def test_expm_zero_is_identity():
-    z = FockMatrix(np.zeros((5, 5)), 4)
-    assert np.abs(matrix_exponential(z).data - np.eye(5)).max() < 1e-15
-
-
-def test_expm_diagonal_phase():
-    d = np.zeros((5, 5), dtype=complex)
-    d[0, 0] = 1j * math.pi
-    out = matrix_exponential(FockMatrix(d, 4))
-    assert abs(out.data[0, 0] + 1.0) < 1e-14
-
-
-def test_expm_rejects_nonfinite():
-    bad = np.zeros((3, 3))
-    bad[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        matrix_exponential(FockMatrix(bad, 2))
 
 
 @pytest.fixture(scope="module")
 def squeezer_40():
-    """exp(theta (a+ x a+ - a x a)) at theta = 0.5, cutoff 40 (dense path)."""
+    """exp(theta (a+ x a+ - a x a)) at theta = 0.5, cutoff 40, as a dense
+    array from scipy's expm of the tensor-product generator."""
     theta = 0.5
     cutoff = 40
     low, rai = build_ladder(cutoff)
-    gen = theta * (tensor_product(rai, rai) - tensor_product(low, low))
-    return matrix_exponential(gen), theta, cutoff
+    gen = theta * (tensor_product(rai, rai).data
+                   - tensor_product(low, low).data)
+    return scipy.linalg.expm(gen.real), theta, cutoff
 
 
 def test_expm_two_mode_squeezed_vacuum(squeezer_40):
@@ -152,57 +148,66 @@ def test_expm_two_mode_squeezed_vacuum(squeezer_40):
     # sech(theta) sum tanh(theta)^n |n, n>
     unitary, theta, cutoff = squeezer_40
     d = cutoff + 1
-    vec = unitary.data[:, 0]
-    expect = np.zeros(d * d, dtype=complex)
+    expect = np.zeros(d * d)
     for n in range(d):
-        expect[composite_index(n, n, cutoff)] = (
-            np.tanh(theta) ** n / np.cosh(theta))
-    assert np.abs(vec - expect).max() < 1e-10
+        expect[n * d + n] = np.tanh(theta) ** n / np.cosh(theta)
+    assert np.abs(unitary[:, 0] - expect).max() < 1e-10
 
 
 def test_expm_anti_hermitian_is_unitary(squeezer_40):
     unitary, _, _ = squeezer_40
-    dense = np.asarray(unitary.data)
-    dev = np.abs(dense.conj().T @ dense - np.eye(dense.shape[0])).max()
+    dev = np.abs(unitary.T @ unitary - np.eye(unitary.shape[0])).max()
     assert dev < 1e-11
 
 
 def test_partial_trace_product_state():
-    rho = random_matrix(4)
-    sigma = random_matrix(4)
-    joint = tensor_product(rho, sigma)
-    red = partial_trace(joint, keep="original")
-    assert np.abs(red.data - rho.data * np.trace(sigma.data)).max() < 1e-12
-    red_t = partial_trace(joint, keep="tilde")
-    assert np.abs(red_t.data - sigma.data * np.trace(rho.data)).max() < 1e-12
+    # |a>|b> reduces to |a><a| <b|b> on the original mode and to
+    # |b><b| <a|a> on the tilde mode
+    a = 2.0 * basis_vector(4, 1).data + 1j * basis_vector(4, 3).data
+    b = RNG.normal(size=5) + 1j * RNG.normal(size=5)
+    joint = FockVector(np.kron(b, a), 4, mode_count=2)
+    red = reduce_pure_state(joint, keep="original")
+    expect = np.outer(a, a.conj()) * np.vdot(b, b)
+    assert np.abs(red.data - expect).max() < 1e-12
+    red_t = reduce_pure_state(joint, keep="tilde")
+    expect_t = np.outer(b, b.conj()) * np.vdot(a, a)
+    assert np.abs(red_t.data - expect_t).max() < 1e-12
 
 
 def test_partial_trace_preserves_trace():
-    joint = tensor_product(random_matrix(5), random_matrix(5))
-    red = partial_trace(joint, keep="original")
-    assert abs(red.trace() - joint.trace()) < 1e-12
+    v = FockVector(3.0 * random_pure_state(5).data, 5, mode_count=2)
+    for keep in ("original", "tilde"):
+        red = reduce_pure_state(v, keep=keep)
+        assert abs(red.trace() - 9.0) < 1e-12
 
 
 def test_partial_trace_rejects_single_mode():
     with pytest.raises(ValueError):
-        partial_trace(random_matrix(4))
+        reduce_pure_state(basis_vector(4, 0))
+    with pytest.raises(ValueError):
+        reduce_pure_state(random_pure_state(4), keep="both")
 
 
 def test_partial_trace_squeezed_vacuum_is_geometric(squeezer_40):
     # reduction of the two-mode squeezed vacuum must be the thermal
     # diagonal with n_bar = sinh(theta)^2
     unitary, theta, cutoff = squeezer_40
-    vec = FockVector(unitary.data[:, 0], cutoff, mode_count=2)
-    red = partial_trace(vec.projector(), keep="original")
+    vec = FockVector(unitary[:, 0], cutoff, mode_count=2)
+    red = reduce_pure_state(vec, keep="original")
     nbar = math.sinh(theta) ** 2
     k = 1.0 / (1.0 + nbar)
     k1 = nbar / (1.0 + nbar)
     expect = np.diag(k * k1 ** np.arange(cutoff + 1)).astype(complex)
     assert np.abs(red.data - expect).max() < 1e-10
 
-    # the cheap pure-state reduction agrees with the generic partial trace
-    red2 = reduce_pure_state(vec, keep="original")
-    assert np.abs(red.data - red2.data).max() < 1e-13
+
+@pytest.mark.parametrize("keep", ["original", "tilde"])
+def test_reduce_pure_state_matches_partial_trace(keep):
+    # the pure-state reduction against an explicit partial trace of the
+    # (dim^2 x dim^2) projector, on a state with no symmetry
+    v = random_pure_state(6)
+    red = reduce_pure_state(v, keep=keep)
+    assert np.abs(red.data - partial_trace(v.projector(), keep)).max() < 1e-13
 
 
 def test_immutability():

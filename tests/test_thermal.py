@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thermoqubit.errors import CutoffError
 from thermoqubit.fock import (
-    basis_state,
+    FockMatrix,
+    FockVector,
+    build_ladder,
     identity,
-    number_operator,
     reduce_pure_state,
     tensor_product,
 )
@@ -18,7 +20,6 @@ from thermoqubit.thermal import (
     ThermalParams,
     auto_cutoff,
     beta_omega_from_occupation,
-    bogoliubov_factors,
     bogoliubov_unitary,
     gate_thermalization_residual,
     mean_occupation,
@@ -34,6 +35,12 @@ RNG = np.random.default_rng(987)
 
 def params_for(n_bar):
     return ThermalParams.from_mean_occupation(n_bar)
+
+
+def doubled_vacuum(cutoff):
+    vac = np.zeros((cutoff + 1) ** 2)
+    vac[0] = 1.0
+    return FockVector(vac, cutoff, mode_count=2)
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +70,20 @@ def test_occupation_round_trip():
 
 
 def test_bogoliubov_factors_zero_temperature():
-    p = bogoliubov_factors(0.0)
+    p = params_for(0.0)
     assert (p.u, p.v, p.theta) == (1.0, 0.0, 0.0)
     assert p.beta_omega == math.inf
 
 
 def test_bogoliubov_factors_unit_occupation():
-    p = bogoliubov_factors(1.0)
+    p = params_for(1.0)
     assert p.u == pytest.approx(math.sqrt(2.0), abs=1e-14)
     assert p.v == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n_bar", [0.1, 0.3, 10.0])
 def test_hyperbolic_identity(n_bar):
-    p = bogoliubov_factors(n_bar)
+    p = params_for(n_bar)
     assert abs(p.u**2 - p.v**2 - 1.0) < 1e-12
     assert abs(p.u - math.cosh(p.theta)) < 1e-12
     assert abs(p.v - math.sinh(p.theta)) < 1e-12
@@ -84,7 +91,7 @@ def test_hyperbolic_identity(n_bar):
 
 def test_negative_occupation_rejected():
     with pytest.raises(ValueError):
-        bogoliubov_factors(-0.1)
+        params_for(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +134,7 @@ def test_thermal_vacuum_zero_temperature():
 
 def test_thermal_vacuum_mean_occupation():
     rho = thermal_vacuum_density(params_for(0.5), 40)
-    n_op = number_operator(40)
-    mean = np.einsum("ij,ji->", rho.data, n_op.data).real
+    mean = np.diag(rho.data).real @ np.arange(41.0)
     assert abs(mean - 0.5) < 1e-10
 
 
@@ -223,15 +229,14 @@ def test_bogoliubov_unitary_is_unitary():
 
 def test_bogoliubov_matches_dense_exponential():
     # sector-blocked construction vs direct exponentiation of the generator
-    from thermoqubit.fock import build_ladder, matrix_exponential
-
     p = params_for(0.36)
     cutoff = 20
     low, rai = build_ladder(cutoff)
-    gen = p.theta * (tensor_product(rai, rai) - tensor_product(low, low))
-    dense = matrix_exponential(gen)
+    gen = p.theta * (tensor_product(rai, rai).data
+                     - tensor_product(low, low).data)
+    dense = scipy.linalg.expm(gen)
     blocked = bogoliubov_unitary(p, cutoff)
-    assert np.abs(dense.data - blocked.data).max() < 1e-12
+    assert np.abs(dense - blocked.data).max() < 1e-12
 
 
 def test_bogoliubov_vacuum_reduction_is_geometric():
@@ -239,8 +244,7 @@ def test_bogoliubov_vacuum_reduction_is_geometric():
     p = params_for(math.sinh(theta) ** 2)
     cutoff = 40
     u = bogoliubov_unitary(p, cutoff)
-    vac2 = basis_state(cutoff, 0, mode_count=2)
-    state = u @ vac2
+    state = u @ doubled_vacuum(cutoff)
     red = reduce_pure_state(state, keep="original")
     expect = thermal_vacuum_density(p, cutoff)
     assert np.abs(red.data - expect.data).max() < 1e-10
@@ -250,9 +254,10 @@ def test_doubled_space_mean_occupation():
     p = params_for(0.5)
     cutoff = 40
     u = bogoliubov_unitary(p, cutoff)
-    state = (u @ basis_state(cutoff, 0, mode_count=2)).data
-    n_two_mode = tensor_product(number_operator(cutoff), identity(cutoff))
-    mean = np.vdot(state, n_two_mode.data @ state).real
+    state = (u @ doubled_vacuum(cutoff)).data
+    # N x I is diagonal: entry n at composite index n_tilde*(cutoff+1) + n
+    n_two_mode = np.tile(np.arange(cutoff + 1.0), cutoff + 1)
+    mean = np.vdot(state, n_two_mode * state).real
     assert abs(mean - 0.5) < 1e-10
 
 
@@ -319,6 +324,6 @@ def test_gate_residual_parity_gate():
 
 
 def test_gate_residual_rejects_nonunitary():
-    bad = 0.5 * identity(20)
+    bad = FockMatrix(0.5 * np.eye(21), 20)
     with pytest.raises(ValueError):
         gate_thermalization_residual(bad, DEFAULT_AMPLITUDES, params_for(0.1), 20)
