@@ -4,6 +4,11 @@ verification suite, emitting CSV/JSON suitable for plotting and CI.
 Subcommands: sweep-fidelity, sweep-mandel, wigner-grid, verify.
 Floats are written as %.9e so identical configurations always produce
 byte-identical files.
+
+Exit status: 0 on success, 1 when a `verify` check fails, 2 for a usage
+error, 3 when a numerical limit is hit (no cutoff reaches the tail
+tolerance, or the Wigner grid cannot be widened enough); errors are one
+line on stderr and nothing is written to --out.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observables, thermal, verify
-from .errors import MandelUndefinedError
+from .errors import CutoffError, GridWideningError, MandelUndefinedError
 
+EXIT_NUMERICAL_LIMIT = 3
 _FLOAT_FMT = "%.9e"
 _REGIME_DEADBAND = 1e-9
 
@@ -157,8 +163,11 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
     cutoff = cfg.resolved_cutoff(n_bar)
-    numeric, closed, report = observables._wigner_audit(
-        cfg.amps, params, cfg.grid, cutoff)
+    try:
+        numeric, closed, report = observables._wigner_audit(
+            cfg.amps, params, cfg.grid, cutoff)
+    except GridWideningError as exc:
+        raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
 
     q_text = [_fmt(v) for v in closed.spec.q_axis().tolist()]
     p_text = [_fmt(v) for v in closed.spec.p_axis().tolist()]
@@ -377,17 +386,22 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
     except (argparse.ArgumentTypeError, ValueError) as exc:  # bad config file
         parser.error(str(exc))
-    if args.command == "sweep-fidelity":
-        cmd_sweep_fidelity(cfg)
-        return 0
-    if args.command == "sweep-mandel":
-        cmd_sweep_mandel(cfg)
-        return 0
-    if args.command == "wigner-grid":
-        cmd_wigner_grid(cfg)
-        return 0
-    if args.command == "verify":
-        return cmd_verify(cfg)
+    try:
+        if args.command == "sweep-fidelity":
+            cmd_sweep_fidelity(cfg)
+            return 0
+        if args.command == "sweep-mandel":
+            cmd_sweep_mandel(cfg)
+            return 0
+        if args.command == "wigner-grid":
+            cmd_wigner_grid(cfg)
+            return 0
+        if args.command == "verify":
+            return cmd_verify(cfg)
+    except (CutoffError, GridWideningError) as exc:  # messages name the n_bar
+        sys.stderr.write(f"{parser.prog} {args.command}: numerical limit: "
+                         f"{exc}\n")
+        return EXIT_NUMERICAL_LIMIT
     raise AssertionError(f"unhandled command {args.command}")
 
 

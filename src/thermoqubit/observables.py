@@ -6,6 +6,11 @@ exactly as printed.  The numeric paths are cross-checked against each
 other and act as ground truth; the closed forms are *audited*, never
 trusted, because several of them carry typos.  `ObservableReport` carries
 both values and their discrepancy so the audit is always visible.
+
+The numeric paths read only the entries of rho they need, from the same
+ladder families as `thermal_state_density_expansion`: the fidelity the
+leading 5 x 5 block (the target lives on |0>, |1>, |2>, |4>), Mandel Q the
+diagonal.  Only the Wigner function builds the full matrix.
 """
 
 from __future__ import annotations
@@ -14,18 +19,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import GridWideningError, MandelUndefinedError
 from .fock import FockMatrix
 from .thermal import (
     PhysicalAmplitudes,
     ThermalParams,
+    _density_block,
+    _density_diagonal,
     resolve_cutoff,
     thermal_state_density_expansion,
 )
 
 GRID_TOL_DEFAULT = 1e-6
+_TARGET_SIZE = 5  # the target state lives on |0>, |1>, |2>, |4>
 _MEAN_OCCUPATION_EPS = 1e-12  # below this <N> the Mandel Q is undefined
 
 # Our Wigner normalization is integral(W dq dp) = trace(rho); the printed
@@ -141,9 +148,9 @@ def fidelity_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
     """sqrt(<Psi| rho |Psi>) between the pure target and its heated state."""
     amps.require_normalized()
     cutoff = resolve_cutoff(cutoff, params)
-    rho = thermal_state_density_expansion(amps, params, cutoff)
-    psi = amps.as_vector(cutoff).data
-    val = float(np.real(psi.conj() @ rho.data @ psi))
+    block = _density_block(amps, params, cutoff, _TARGET_SIZE)
+    psi = amps.as_vector(_TARGET_SIZE - 1).data
+    val = float(np.real(psi.conj() @ block @ psi))
     if val > 1.0 + 1e-10:
         raise ArithmeticError(f"fidelity^2 = {val} exceeds 1 beyond tolerance")
     return math.sqrt(max(val, 0.0))
@@ -223,9 +230,8 @@ def mandel_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
     """Q = (<N^2> - <N>^2 - <N>) / <N> on the heated state."""
     amps.require_normalized()
     cutoff = resolve_cutoff(cutoff, params)
-    rho = thermal_state_density_expansion(amps, params, cutoff)
+    n_diag = _density_diagonal(amps, params, cutoff)
     n = np.arange(cutoff + 1, dtype=float)
-    n_diag = np.diag(np.asarray(rho.data)).real
     mean_n = float(n_diag @ n)
     mean_n2 = float(n_diag @ (n * n))
     if mean_n < _MEAN_OCCUPATION_EPS:
@@ -362,6 +368,7 @@ def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     x_arg = 2.0 * r2                    # = 4 |alpha|^2
     with np.errstate(under="ignore"):
         envelope = np.exp(-r2)          # = exp(-2 |alpha|^2)
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(dim)])  # log m!
     w = np.zeros(qg.shape, dtype=complex)
     for off in range(dim):
         lower = np.diagonal(rho, -off)  # rho[n+off, n]
@@ -369,9 +376,8 @@ def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         if not (np.any(lower) or np.any(upper)):
             continue
         n_top = dim - 1 - off
-        ns = np.arange(n_top + 1, dtype=float)
         weights = ((-1.0) ** np.arange(n_top + 1)
-                   * np.exp(0.5 * (gammaln(ns + 1) - gammaln(ns + off + 1))))
+                   * np.exp(0.5 * (log_fact[: n_top + 1] - log_fact[off:])))
         acc_lower = np.zeros(r2.shape, dtype=complex)
         acc_upper = np.zeros(r2.shape, dtype=complex)
         for n, scaled_l in _scaled_laguerre_steps(off, n_top, x_arg, envelope):

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
 from .errors import CutoffError
 from .fock import (
@@ -182,13 +180,13 @@ def auto_cutoff(n_bar: float, tail_tol: float = TAIL_TOL_DEFAULT) -> int:
         terms = np.exp(log_terms)
     suffix = np.cumsum(terms[::-1])[::-1]
 
-    log_k1 = math.log(k1)
-    for cand in range(_CUTOFF_FLOOR, CUTOFF_CAP + 1):
-        if (cand + 1) * log_k1 >= math.log(tail_tol * (1.0 - k1)):
-            continue
-        if suffix[max(cand - 3, 0)] >= tail_tol:
-            continue
-        return cand
+    cand = np.arange(_CUTOFF_FLOOR, CUTOFF_CAP + 1)
+    # written as "not failing" so a NaN comparison passes, as it always has
+    ok = ~(((cand + 1) * math.log(k1) >= math.log(tail_tol * (1.0 - k1)))
+           | (suffix[np.maximum(cand - 3, 0)] >= tail_tol))
+    first = int(np.argmax(ok))
+    if ok[first]:
+        return int(cand[first])
     raise CutoffError(
         f"no cutoff <= {CUTOFF_CAP} reaches tail tolerance {tail_tol} at "
         f"n_bar = {n_bar}"
@@ -231,10 +229,69 @@ def thermal_vacuum_density(params: ThermalParams, cutoff: int,
 
 
 def _occupation_shift_root(n: np.ndarray, shift: int) -> np.ndarray:
-    """sqrt((n+1)(n+2)...(n+shift)) evaluated stably for vector n."""
-    if shift == 0:
-        return np.ones_like(n, dtype=float)
-    return np.exp(0.5 * (gammaln(n + shift + 1) - gammaln(n + 1)))
+    """sqrt((n+1)(n+2)...(n+shift)) for vector n.
+
+    For shift <= 4 and n below the cutoff cap the product is an integer
+    below 2^53, so it is exact in float64 before the one rounding of sqrt.
+    """
+    prod = np.ones_like(n, dtype=float)
+    for j in range(1, shift + 1):
+        prod = prod * (n + j)
+    return np.sqrt(prod)
+
+
+def _density_families(amps: PhysicalAmplitudes, params: ThermalParams,
+                      cutoff: int, tail_tol: float, size: int) -> list:
+    """(p, q, values) for each of the sixteen ladder families of the expansion.
+
+    values[n] is the (p, q) family's term at matrix position (n+p, n+q),
+    for the n that keep both indices below `size` (at most cutoff + 1).
+    The terms do not depend on `size`, so a reader that needs only the
+    leading entries of rho gets the same values as the full matrix.  The
+    inputs are checked before anything is computed or allocated.
+    """
+    amps.require_normalized()
+    validate_cutoff(cutoff, params, tail_tol)
+    k, k1 = params.k, params.k1
+    coeffs = _ladder_coefficients(amps, params)
+    n_all = np.arange(size, dtype=float)
+    with np.errstate(under="ignore"):
+        geom = k * k1 ** n_all
+    roots = {p: _occupation_shift_root(n_all, p) for p in coeffs}
+    families = []
+    for p, cp in coeffs.items():
+        for q, cq in coeffs.items():
+            n_max = size - 1 - max(p, q)  # keep both |n+p> and <n+q|
+            if n_max < 0:
+                continue
+            families.append((p, q, (cp * np.conj(cq)) * geom[: n_max + 1]
+                             * roots[p][: n_max + 1] * roots[q][: n_max + 1]))
+    return families
+
+
+def _density_block(amps: PhysicalAmplitudes, params: ThermalParams,
+                   cutoff: int, size: int,
+                   tail_tol: float = TAIL_TOL_DEFAULT) -> np.ndarray:
+    """Leading size x size block of `thermal_state_density_expansion`."""
+    families = _density_families(amps, params, cutoff, tail_tol, size)
+    rho = np.zeros((size, size), dtype=complex)
+    for p, q, vals in families:
+        n = np.arange(len(vals))
+        rho[n + p, n + q] += vals
+    return rho
+
+
+def _density_diagonal(amps: PhysicalAmplitudes, params: ThermalParams,
+                      cutoff: int,
+                      tail_tol: float = TAIL_TOL_DEFAULT) -> np.ndarray:
+    """Real diagonal of `thermal_state_density_expansion`; only the p == q
+    families reach it."""
+    families = _density_families(amps, params, cutoff, tail_tol, cutoff + 1)
+    diag = np.zeros(cutoff + 1, dtype=complex)
+    for p, q, vals in families:
+        if p == q:
+            diag[p: p + len(vals)] += vals
+    return diag.real
 
 
 def thermal_state_density_expansion(amps: PhysicalAmplitudes,
@@ -255,25 +312,8 @@ def thermal_state_density_expansion(amps: PhysicalAmplitudes,
     non-Hermitian y/z slip in one family; the conjugation structure of
     the expectation-value expansion fixes it).
     """
-    amps.require_normalized()
-    validate_cutoff(cutoff, params, tail_tol)
-    k, k1 = params.k, params.k1
-    coeffs = _ladder_coefficients(amps, params)
-    n_all = np.arange(cutoff + 1, dtype=float)
-    with np.errstate(under="ignore"):
-        geom = k * k1 ** n_all
-    roots = {p: _occupation_shift_root(n_all, p) for p in coeffs}
-    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for p, cp in coeffs.items():
-        for q, cq in coeffs.items():
-            n_max = cutoff - max(p, q)  # keep both |n+p> and <n+q|
-            if n_max < 0:
-                continue
-            n = np.arange(n_max + 1)
-            vals = (cp * np.conj(cq)) * geom[: n_max + 1] \
-                * roots[p][: n_max + 1] * roots[q][: n_max + 1]
-            rho[n + p, n + q] += vals
-    return FockMatrix(rho, cutoff)
+    return FockMatrix(_density_block(amps, params, cutoff, cutoff + 1,
+                                     tail_tol), cutoff)
 
 
 def thermal_state_density_operator(amps: PhysicalAmplitudes,
@@ -339,6 +379,8 @@ def bogoliubov_unitary(params: ThermalParams, cutoff: int,
     sector by sector (the generator is block-diagonal over n - n_tilde),
     which is exactly equivalent to exponentiating the full generator.
     """
+    import scipy.linalg  # only the expm oracles need scipy
+
     validate_cutoff(cutoff, params, tail_tol)
     d = cutoff + 1
     u = np.zeros((d * d, d * d), dtype=complex)
@@ -355,6 +397,8 @@ def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> FockVector:
     The doubled vacuum lives in the n = n_tilde sector, which the pair
     generator never leaves, so only that sector's block is exponentiated.
     """
+    import scipy.linalg  # only the expm oracles need scipy
+
     d = cutoff + 1
     block = scipy.linalg.expm(params.theta * _sector_generator(cutoff, 0))
     vec = np.zeros(d * d, dtype=complex)

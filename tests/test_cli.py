@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,37 @@ def test_bad_config_value_rejected(tmp_path, capsys, line, message):
     assert "Traceback" not in err
 
 
+# numerical limits: n_bar past the cutoff cap, a grid that cannot be widened
+# enough (forced by a normalization tolerance no grid meets)
+LIMIT_CASES = [
+    (["sweep-fidelity", "--nbar-range", "0:20:5"], {}, "n_bar = 15.0"),
+    (["sweep-mandel", "--nbar-range", "0:20:5"], {}, "n_bar = 15.0"),
+    (["wigner-grid", "--nbar", "20"], {}, "n_bar = 20.0"),
+    (["sweep-fidelity", "--nbar-range", "0:5:3", "--cutoff", "100"], {},
+     "n_bar = 5.0"),
+    (["wigner-grid", "--nbar", "0.1"], {"GRID_TOL_DEFAULT": 0.0},
+     "n_bar = 0.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, patch, message", LIMIT_CASES,
+    ids=["cutoff-fidelity", "cutoff-mandel", "cutoff-wigner",
+         "explicit-cutoff", "grid-widening"])
+def test_numerical_limit_exit_code(tmp_path, capsys, monkeypatch,
+                                   argv, patch, message):
+    for name, value in patch.items():
+        monkeypatch.setattr(observables, name, value)
+    rc = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert rc == cli.EXIT_NUMERICAL_LIMIT == 3
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "numerical limit" in lines[0] and message in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # sweep-mandel
 # ---------------------------------------------------------------------------
@@ -319,3 +354,36 @@ def test_verify_contains_triple_agreement(verify_report):
     audits = [c for c in report["checks"]
               if c["name"] == "wigner_closed_form_audit"]
     assert {c["n_bar"] for c in audits} == {0.0, 0.1, 0.3, 1.0}
+
+
+# ---------------------------------------------------------------------------
+# import path
+# ---------------------------------------------------------------------------
+
+IMPORT_GUARD = """
+import sys
+import thermoqubit
+from thermoqubit import cli
+out = sys.argv[1]
+for argv in (["sweep-fidelity", "--nbar-range", "0:14:5"],
+             ["sweep-mandel", "--nbar-range", "0:14:5"],
+             ["wigner-grid", "--nbar", "1", "--grid=-6:6:25,-6:6:25"]):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(cli.main(["verify", "--out", out]))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_stays_off_the_command_path(tmp_path):
+    # a fresh process, since the tests themselves import scipy; only the
+    # doubled-space expm oracles that verify runs load it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0", "True"]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoqubit.errors import MandelUndefinedError
 from thermoqubit.observables import (
@@ -16,6 +18,8 @@ from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     PhysicalAmplitudes,
     ThermalParams,
+    auto_cutoff,
+    thermal_state_density_expansion,
     thermal_state_density_operator,
 )
 
@@ -139,6 +143,54 @@ def test_mandel_closed_form_discrepancy_logged(n_bar):
     assert math.isfinite(report.value_closed_form)
     assert report.abs_discrepancy == pytest.approx(
         abs(report.value_numeric - report.value_closed_form), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fidelity and Mandel Q read only the entries of rho they need
+# ---------------------------------------------------------------------------
+
+def _close(a, b, rel=1e-14):
+    return abs(a - b) <= rel * abs(b)
+
+
+@st.composite
+def amplitude_sets(draw):
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    raw = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    norm = np.linalg.norm(raw)
+    if norm < 1e-3:
+        raw, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    return PhysicalAmplitudes(*(raw / norm))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(amps=amplitude_sets(), n_bar=st.floats(0.0, 14.0))
+def test_readers_match_dense_expansion(amps, n_bar):
+    # the leading block and the diagonal give what the full matrix gives
+    params = params_for(n_bar)
+    cutoff = auto_cutoff(n_bar)
+    rho = thermal_state_density_expansion(amps, params, cutoff).data
+    psi = amps.as_vector(cutoff).data
+    dense_fidelity = math.sqrt(max(float(np.real(psi.conj() @ rho @ psi)), 0.0))
+    assert _close(fidelity_numeric(amps, params), dense_fidelity)
+
+    n = np.arange(cutoff + 1, dtype=float)
+    diag = np.diag(rho).real
+    mean_n, mean_n2 = float(diag @ n), float(diag @ (n * n))
+    if mean_n < 1e-12:
+        with pytest.raises(MandelUndefinedError):
+            mandel_numeric(amps, params)
+        return
+    dense_q = (mean_n2 - mean_n**2 - mean_n) / mean_n
+    assert _close(mandel_numeric(amps, params), dense_q)
+
+
+@pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
+def test_fidelity_independent_of_cutoff(n_bar):
+    # the 5 x 5 block the fidelity reads has no cutoff dependence
+    params = params_for(n_bar)
+    amps = random_amps()
+    assert fidelity_numeric(amps, params) == fidelity_numeric(amps, params, 512)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,48 @@ def test_cutoff_cap_error():
         auto_cutoff(200.0)  # k1 = 200/201 cannot reach 1e-10 below the cap
 
 
+def _auto_cutoff_loop(n_bar, tail_tol):
+    """The candidate-by-candidate scan `auto_cutoff` used before it was
+    vectorized, kept whole (tail table included) as the reference."""
+    if n_bar == 0:
+        return 8
+    k = 1.0 / (1.0 + n_bar)
+    k1 = n_bar / (1.0 + n_bar)
+    u8 = (1.0 + n_bar) ** 4
+    n = np.arange(0, 512 + 1500, dtype=float)
+    with np.errstate(under="ignore"):
+        log_terms = (math.log(k) + n * math.log(k1)
+                     + np.log(n + 1) + np.log(n + 2) + np.log(n + 3) + np.log(n + 4)
+                     - math.log(24.0 * u8))
+        terms = np.exp(log_terms)
+    suffix = np.cumsum(terms[::-1])[::-1]
+    log_k1 = math.log(k1)
+    for cand in range(8, 512 + 1):
+        if (cand + 1) * log_k1 >= math.log(tail_tol * (1.0 - k1)):
+            continue
+        if suffix[max(cand - 3, 0)] >= tail_tol:
+            continue
+        return cand
+    raise CutoffError("no cutoff <= 512")
+
+
+@pytest.mark.parametrize("tail_tol", [1e-10, 1e-12, 1e-14])
+def test_auto_cutoff_scan_matches_loop(tail_tol):
+    # n_bar step 0.01 over [0, 15]: every cutoff from 8 up to the cap, and
+    # past n_bar ~ 14.5 (earlier for tighter tolerances) the CutoffError
+    failures = 0
+    for n_bar in np.linspace(0.0, 15.0, 1501).tolist():
+        try:
+            expected = _auto_cutoff_loop(n_bar, tail_tol)
+        except CutoffError:
+            failures += 1
+            with pytest.raises(CutoffError):
+                auto_cutoff(n_bar, tail_tol)
+            continue
+        assert auto_cutoff(n_bar, tail_tol) == expected, n_bar
+    assert failures > 0
+
+
 def test_insufficient_cutoff_rejected():
     with pytest.raises(CutoffError):
         thermal_vacuum_density(params_for(10.0), 20)
