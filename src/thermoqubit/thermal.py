@@ -21,6 +21,7 @@ tests lean on that triple agreement as the core cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -244,11 +245,13 @@ def _density_families(amps: PhysicalAmplitudes, params: ThermalParams,
                       cutoff: int, tail_tol: float, size: int) -> list:
     """(p, q, values) for each of the sixteen ladder families of the expansion.
 
-    values[n] is the (p, q) family's term at matrix position (n+p, n+q),
-    for the n that keep both indices below `size` (at most cutoff + 1).
-    The terms do not depend on `size`, so a reader that needs only the
-    leading entries of rho gets the same values as the full matrix.  The
-    inputs are checked before anything is computed or allocated.
+    values() returns the (p, q) family's terms: values()[n] sits at matrix
+    position (n+p, n+q), for the n that keep both indices below `size` (at
+    most cutoff + 1).  The terms do not depend on `size`, so a reader that
+    needs only the leading entries of rho gets the same values as the full
+    matrix.  The inputs are checked before anything is computed or
+    allocated, and a family's terms are computed only when a reader asks
+    for them, so the diagonal reader pays for four families, not sixteen.
     """
     amps.require_normalized()
     validate_cutoff(cutoff, params, tail_tol)
@@ -258,15 +261,14 @@ def _density_families(amps: PhysicalAmplitudes, params: ThermalParams,
     with np.errstate(under="ignore"):
         geom = k * k1 ** n_all
     roots = {p: _occupation_shift_root(n_all, p) for p in coeffs}
-    families = []
-    for p, cp in coeffs.items():
-        for q, cq in coeffs.items():
-            n_max = size - 1 - max(p, q)  # keep both |n+p> and <n+q|
-            if n_max < 0:
-                continue
-            families.append((p, q, (cp * np.conj(cq)) * geom[: n_max + 1]
-                             * roots[p][: n_max + 1] * roots[q][: n_max + 1]))
-    return families
+
+    def family(p, q):
+        length = size - max(p, q)  # keep both |n+p> and <n+q|
+        return ((coeffs[p] * np.conj(coeffs[q])) * geom[:length]
+                * roots[p][:length] * roots[q][:length])
+
+    return [(p, q, functools.partial(family, p, q))
+            for p in coeffs for q in coeffs if max(p, q) < size]
 
 
 def _density_block(amps: PhysicalAmplitudes, params: ThermalParams,
@@ -275,21 +277,23 @@ def _density_block(amps: PhysicalAmplitudes, params: ThermalParams,
     """Leading size x size block of `thermal_state_density_expansion`."""
     families = _density_families(amps, params, cutoff, tail_tol, size)
     rho = np.zeros((size, size), dtype=complex)
-    for p, q, vals in families:
+    for p, q, values in families:
+        vals = values()
         n = np.arange(len(vals))
         rho[n + p, n + q] += vals
     return rho
 
 
 def _density_diagonal(amps: PhysicalAmplitudes, params: ThermalParams,
-                      cutoff: int,
-                      tail_tol: float = TAIL_TOL_DEFAULT) -> np.ndarray:
+                      cutoff: int) -> np.ndarray:
     """Real diagonal of `thermal_state_density_expansion`; only the p == q
     families reach it."""
-    families = _density_families(amps, params, cutoff, tail_tol, cutoff + 1)
+    families = _density_families(amps, params, cutoff, TAIL_TOL_DEFAULT,
+                                 cutoff + 1)
     diag = np.zeros(cutoff + 1, dtype=complex)
-    for p, q, vals in families:
+    for p, q, values in families:
         if p == q:
+            vals = values()
             diag[p: p + len(vals)] += vals
     return diag.real
 
