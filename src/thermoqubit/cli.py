@@ -87,6 +87,24 @@ def _rows_to_output(header: list[str], rows: list[list[str]], fmt: str) -> str:
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
+_WIGNER_HEADER = ["q", "p", "w_numeric", "w_closed_form"]
+
+
+def _wigner_csv(q: np.ndarray, p: np.ndarray, numeric: np.ndarray,
+                closed: np.ndarray) -> str:
+    """The wigner-grid CSV: the lines of one q row share their q text and
+    the p texts, so each row is one `%` on a line template taking the
+    row's (w_numeric, w_closed_form) pairs.  Same bytes as
+    `_rows_to_output` on `_fmt` cells."""
+    cells = [_fmt(v) + f",{_FLOAT_FMT},{_FLOAT_FMT}" for v in p.tolist()]
+    pairs = np.stack([numeric, closed], axis=-1).reshape(len(q), -1)
+    blocks = [",".join(_WIGNER_HEADER) + "\n"]
+    for q_text, row in zip(map(_fmt, q.tolist()), pairs.tolist()):
+        head = q_text + ","
+        blocks.append((head + ("\n" + head).join(cells) + "\n") % tuple(row))
+    return "".join(blocks)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -169,14 +187,18 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
     except GridWideningError as exc:
         raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
 
-    q_text = [_fmt(v) for v in closed.spec.q_axis().tolist()]
-    p_text = [_fmt(v) for v in closed.spec.p_axis().tolist()]
-    rows = [[qt, pt, _fmt(wn), _fmt(wc)]
-            for qt, numeric_row, closed_row in zip(
-                q_text, numeric.values.tolist(), closed.values.tolist())
-            for pt, wn, wc in zip(p_text, numeric_row, closed_row)]
-    header = ["q", "p", "w_numeric", "w_closed_form"]
-    text = _rows_to_output(header, rows, cfg.format)
+    spec = closed.spec
+    if cfg.format == "csv":
+        text = _wigner_csv(spec.q_axis(), spec.p_axis(),
+                           numeric.values, closed.values)
+    else:
+        q_text = [_fmt(v) for v in spec.q_axis().tolist()]
+        p_text = [_fmt(v) for v in spec.p_axis().tolist()]
+        rows = [[qt, pt, _fmt(wn), _fmt(wc)]
+                for qt, numeric_row, closed_row in zip(
+                    q_text, numeric.values.tolist(), closed.values.tolist())
+                for pt, wn, wc in zip(p_text, numeric_row, closed_row)]
+        text = _rows_to_output(_WIGNER_HEADER, rows, cfg.format)
     _write_text(cfg.out, text)
 
     sidecar = {
@@ -386,6 +408,11 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
     except (argparse.ArgumentTypeError, ValueError) as exc:  # bad config file
         parser.error(str(exc))
+    if args.command in ("wigner-grid", "verify") and not cfg.amps.is_real():
+        # the closed-form Wigner series both commands audit is printed
+        # with unconjugated products
+        parser.error(f"{args.command} needs real amplitudes, got "
+                     f"{', '.join(repr(a) for a in cfg.amps.as_tuple())}")
     try:
         if args.command == "sweep-fidelity":
             cmd_sweep_fidelity(cfg)

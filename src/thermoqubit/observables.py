@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,12 @@ class GridSpec:
         dq = (self.q_max - self.q_min) / (self.nq - 1)
         dp = (self.p_max - self.p_min) / (self.np - 1)
         return dq * dp
+
+    @cached_property
+    def _radial(self):
+        """`_radial_grid` of this grid, computed once: the numeric kernel
+        and the closed-form series of one audit share it."""
+        return _radial_grid(self.q_axis(), self.p_axis())
 
     def doubled(self) -> "GridSpec":
         return GridSpec(2 * self.q_min, 2 * self.q_max,
@@ -300,37 +307,55 @@ def laguerre_assoc(n: int, k: int, arg):
     """L_n^k(arg) by the stable three-term recurrence.
 
     L_m^k = ((2m - 1 + k - arg) L_{m-1}^k - (m - 1 + k) L_{m-2}^k) / m,
-    with L_0 = 1 and L_1 = 1 + k - arg: `_scaled_laguerre_steps` under a
-    unit envelope.  Accepts scalar or array argument.
+    with L_0 = 1 and L_1 = 1 + k - arg: `_laguerre_rows` under a unit
+    envelope.  Accepts scalar or array argument.
     """
     if n < 0 or k < 0:
         raise ValueError("laguerre_assoc requires n >= 0 and k >= 0")
     if n > 600:
         raise ValueError(f"degree {n} beyond the supported range (600)")
     arg = np.asarray(arg, dtype=float)
-    for _, cur in _scaled_laguerre_steps(k, n, arg, np.ones_like(arg)):
+    flat = arg.ravel()
+    for _, _, cur in _laguerre_rows([k], [n], flat, np.ones_like(flat)):
         pass
-    return cur if np.ndim(cur) else float(cur)
+    out = cur[0].reshape(arg.shape)
+    return out if arg.ndim else float(out)
 
 
-def _scaled_laguerre_steps(k: int, top: int, arg: np.ndarray,
-                           envelope: np.ndarray):
-    """Yield (m, L_m^k(arg) * envelope) for m = 0..top.
+def _laguerre_rows(ks, tops, arg: np.ndarray, envelope: np.ndarray):
+    """Yield (m, rows, cur) for m = 0..tops[0], where cur[i] holds
+    L_m^ks[i](arg) * envelope for each of the first `rows` rows, the
+    rows i with tops[i] >= m.
 
-    The recurrence is run on the envelope-scaled functions; since it is
-    linear this is exact, and it keeps intermediates bounded where the
-    bare polynomials would overflow (large arg, large m).
+    The rows must come in non-increasing order of top.  All rows step
+    together in three reused (rows x len(arg)) buffers, so cur is valid
+    only until the next step.  The recurrence is run on the
+    envelope-scaled functions; since it is linear this is exact, and it
+    keeps intermediates bounded where the bare polynomials would overflow
+    (large arg, large m).
     """
-    prev = None
-    cur = envelope
-    yield 0, cur
-    if top == 0:
-        return
-    prev, cur = cur, (1.0 + k - arg) * envelope
-    yield 1, cur
-    for m in range(2, top + 1):
-        prev, cur = cur, ((2 * m - 1 + k - arg) * cur - (m - 1 + k) * prev) / m
-        yield m, cur
+    k = np.asarray(ks, dtype=float)[:, None]
+    shape = (len(tops), arg.size)
+    prev, cur, nxt = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    cur[...] = envelope
+    rows = len(tops)
+    yield 0, rows, cur
+    for m in range(1, tops[0] + 1):
+        while tops[rows - 1] < m:
+            rows -= 1
+        out, kr = nxt[:rows], k[:rows]
+        if m == 1:
+            np.subtract(1.0 + kr, arg, out=out)
+            np.multiply(out, envelope, out=out)
+        else:
+            np.subtract(2 * m - 1 + kr, arg, out=out)
+            np.multiply(out, cur[:rows], out=out)
+            back = prev[:rows]  # L_{m-2} is not needed after this step
+            np.multiply(m - 1 + kr, back, out=back)
+            np.subtract(out, back, out=out)
+            np.divide(out, m, out=out)
+        prev, cur, nxt = cur, nxt, prev
+        yield m, rows, cur
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +364,17 @@ def _scaled_laguerre_steps(k: int, top: int, arg: np.ndarray,
 
 def _radial_grid(q: np.ndarray, p: np.ndarray):
     """Meshgrid of (q, p), the distinct r^2 = q^2 + p^2 on it (sorted), and
-    for each grid point the index of its r^2 among them."""
+    for each grid point the index of its r^2 among them.  The arrays are
+    read-only, since `GridSpec` hands one copy to every pass on its grid."""
     qg, pg = np.meshgrid(q, p, indexing="ij")
     r2, inv = np.unique((qg**2 + pg**2).ravel(), return_inverse=True)
-    return qg, pg, r2, inv.reshape(qg.shape)
+    radial = (qg, pg, r2, inv.reshape(qg.shape))
+    for arr in radial:
+        arr.setflags(write=False)
+    return radial
 
 
-def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
     """W(q, p) = sum_{m,n} rho[m, n] K[n, m] with the Fock-basis kernel.
 
     With alpha = (q + ip)/sqrt(2) and m >= n the kernel is
@@ -360,34 +389,71 @@ def _wigner_values(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     the recurrence and both diagonal sums run only on the distinct r^2 of
     the grid (5,924 of 66,049 points on the default grid) and are
     scattered back once per offset before the phase factor is applied.
-    Every grid point goes through the same arithmetic as a point-by-point
-    evaluation, so the values do not depend on the factorization.
+    Only the offsets of rho's nonzero diagonals take part (5 of 360 for
+    the heated state at n_bar = 10), all in one recurrence, and only on
+    the r^2 whose envelope is nonzero; elsewhere every term is an exact
+    zero, so the radial sums are left at +0.  Every grid point goes
+    through the same arithmetic as a point-by-point evaluation, so the
+    values do not depend on the factorization.
     """
     dim = rho.shape[0]
-    qg, pg, r2, inv = _radial_grid(q, p)
-    x_arg = 2.0 * r2                    # = 4 |alpha|^2
+    qg, pg, r2, inv = spec._radial
     with np.errstate(under="ignore"):
         envelope = np.exp(-r2)          # = exp(-2 |alpha|^2)
+    live = np.count_nonzero(envelope)   # a prefix: r2 is sorted
+    x_arg = 2.0 * r2[:live]             # = 4 |alpha|^2
+    rows_nz, cols_nz = np.nonzero(rho)
+    offsets = np.unique(np.abs(rows_nz - cols_nz)).tolist()
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(dim)])  # log m!
-    w = np.zeros(qg.shape, dtype=complex)
-    for off in range(dim):
-        lower = np.diagonal(rho, -off)  # rho[n+off, n]
-        upper = np.diagonal(rho, off)   # rho[n, n+off]
-        if not (np.any(lower) or np.any(upper)):
-            continue
+    # coef[j, i, n] for the i-th offset: the real (j = 0) and imaginary
+    # (j = 1) parts of rho[n+off, n] * weight_n, then (j = 2, 3) those of
+    # rho[n, n+off] * weight_n; the offset's recurrence stops at dim-1-off
+    coef = np.zeros((4, len(offsets), dim))
+    for i, off in enumerate(offsets):
         n_top = dim - 1 - off
         weights = ((-1.0) ** np.arange(n_top + 1)
                    * np.exp(0.5 * (log_fact[: n_top + 1] - log_fact[off:])))
-        acc_lower = np.zeros(r2.shape, dtype=complex)
-        acc_upper = np.zeros(r2.shape, dtype=complex)
-        for n, scaled_l in _scaled_laguerre_steps(off, n_top, x_arg, envelope):
-            acc_lower += (lower[n] * weights[n]) * scaled_l
-            if off:
-                acc_upper += (upper[n] * weights[n]) * scaled_l
+        lower = np.diagonal(rho, -off) * weights
+        upper = np.diagonal(rho, off) * weights
+        coef[:, i, : n_top + 1] = lower.real, lower.imag, upper.real, upper.imag
+    # A complex sum of c * L over real L is, bit for bit, the pair of real
+    # sums of Re(c) * L and Im(c) * L: the sums start at +0, so no zero
+    # sign can differ.  Each distinct nonzero row of coef is summed once
+    # (a real symmetric rho, like every heated state, has one); an
+    # all-zero row's sum stays +0.
+    parts, part_of = [], {}  # row j of coef is summed as parts[part_of[j]]
+    for j in range(4):
+        if not coef[j].any():
+            continue
+        for i in part_of:
+            if np.array_equal(coef[i], coef[j]):
+                part_of[j] = part_of[i]
+                break
+        else:
+            part_of[j] = len(parts)
+            parts.append(j)
+    acc = np.zeros((len(parts), len(offsets), r2.size))
+    term = np.empty((len(parts), len(offsets), live))
+    if parts:
+        part_coef = coef[parts]
+        tops = [dim - 1 - off for off in offsets]
+        for n, rows, scaled in _laguerre_rows(offsets, tops, x_arg,
+                                              envelope[:live]):
+            out = term[:, :rows]
+            np.multiply(part_coef[:, :rows, n, None], scaled[:rows], out=out)
+            acc[:, :rows, :live] += out
+    sums = np.zeros((2, len(offsets), r2.size), dtype=complex)  # lower, upper
+    for j, part in part_of.items():
+        half = sums[j // 2]
+        (half.real if j % 2 == 0 else half.imag)[...] = acc[part]
+
+    w = np.zeros(qg.shape, dtype=complex)
+    base = np.sqrt(2.0) * (qg - 1j * pg)  # 2 conj(alpha)
+    for (acc_lower, acc_upper), off in zip(sums.swapaxes(0, 1), offsets):
         if off == 0:
             w += acc_lower[inv]
         else:
-            factor = (np.sqrt(2.0) * (qg - 1j * pg)) ** off  # (2 conj(alpha))^off
+            factor = base ** off
             w += factor * acc_lower[inv] + np.conj(factor) * acc_upper[inv]
     w /= math.pi
     imag_max = float(np.abs(w.imag).max())
@@ -414,7 +480,7 @@ def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
     target = float(np.trace(rho.data).real)
     attempts = 0
     while True:
-        values = _wigner_values(np.asarray(rho.data), spec.q_axis(), spec.p_axis())
+        values = _wigner_values(np.asarray(rho.data), spec)
         result = WignerGrid(spec, values)
         if not widen or abs(result.integral() - target) <= GRID_TOL_DEFAULT:
             return result
@@ -437,11 +503,11 @@ def wigner_negativity(grid: WignerGrid) -> float:
 # ---------------------------------------------------------------------------
 
 def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
-                          qg: np.ndarray, pg: np.ndarray):
+                          qg: np.ndarray, pg: np.ndarray, n: np.ndarray):
     """The ten printed Laguerre families: (superscript k, index shift s,
-    phase-space prefactor grid, n-dependent weight).
+    phase-space prefactor grid, weights over the master-sum index n).
 
-    Family f contributes prefactor * weight(n) * L_{n+s}^k(2 r^2) inside
+    Family f contributes prefactor * weight[n] * L_{n+s}^k(2 r^2) inside
     the master sum over n.  Transcribed verbatim, including the suspect
     pieces (the y^2 family's single u power, the xw family's quadratic
     polynomial, the yw family's sign).
@@ -449,22 +515,22 @@ def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
     x, y, z, w = [complex(a).real for a in amps.as_tuple()]
     u = params.u
     one = np.ones_like(qg)
+    flat = np.ones_like(n)
     return [
-        (0, 0, 2 * x**2 * one, lambda n: 1.0),
-        (0, 1, -(2 * y**2 / u) * one, lambda n: n + 1.0),
-        (0, 2, (z**2 / u**4) * one, lambda n: (n + 1.0) * (n + 2.0)),
+        (0, 0, 2 * x**2 * one, flat),
+        (0, 1, -(2 * y**2 / u) * one, n + 1.0),
+        (0, 2, (z**2 / u**4) * one, (n + 1.0) * (n + 2.0)),
         (0, 4, (2 * w**2 / (24.0 * u**8)) * one,
-         lambda n: (n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0)),
-        (1, 0, (4 * math.sqrt(2.0) * x * y / u) * qg, lambda n: 1.0),
-        (2, 0, (4 * math.sqrt(2.0) * x * z / u**2) * (qg**2 - pg**2),
-         lambda n: 1.0),
+         (n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0)),
+        (1, 0, (4 * math.sqrt(2.0) * x * y / u) * qg, flat),
+        (2, 0, (4 * math.sqrt(2.0) * x * z / u**2) * (qg**2 - pg**2), flat),
         (4, 0, (4 * math.sqrt(6.0) * x * w / (3 * u**4))
-         * (qg**2 + pg**2 - 6 * qg**2 * pg**2), lambda n: 1.0),
-        (1, 1, -(4 * y * z / u**3) * qg, lambda n: n + 1.0),
+         * (qg**2 + pg**2 - 6 * qg**2 * pg**2), flat),
+        (1, 1, -(4 * y * z / u**3) * qg, n + 1.0),
         (3, 1, (4 * math.sqrt(3.0) * y * w / (3 * u**5))
-         * (qg**3 - 3 * qg * pg**2), lambda n: n + 1.0),
+         * (qg**3 - 3 * qg * pg**2), n + 1.0),
         (2, 2, (2 * math.sqrt(3.0) * w * z / (3 * u**6)) * (qg**2 - pg**2),
-         lambda n: (n + 1.0) * (n + 2.0)),
+         (n + 1.0) * (n + 2.0)),
     ]
 
 
@@ -486,49 +552,75 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     return closed, report
 
 
+def _require_real(amps: PhysicalAmplitudes):
+    amps.require_normalized()
+    if not amps.is_real():
+        raise ValueError("closed-form Wigner series requires real amplitudes")
+
+
 def _wigner_audit(amps: PhysicalAmplitudes, params: ThermalParams,
                   grid: GridSpec | None, cutoff
                   ) -> tuple[WignerGrid, WignerGrid, ObservableReport]:
     """`wigner_closed_form`, also returning the numeric grid it audits
-    against: (numeric, closed, report).
-
-    Each printed family is summed on the distinct r^2 of the grid and
-    scattered back once, times its phase-space prefactor.
-    """
-    amps.require_normalized()
-    if not amps.is_real():
-        raise ValueError("closed-form Wigner series requires real amplitudes")
+    against: (numeric, closed, report)."""
+    _require_real(amps)
     cutoff = resolve_cutoff(cutoff, params)
     rho = thermal_state_density_expansion(amps, params, cutoff)
     numeric = wigner_from_density(rho, grid)
-    spec = numeric.spec
+    return (numeric, *_closed_form_audit(amps, params, cutoff, numeric))
 
-    qg, pg, r2, inv = _radial_grid(spec.q_axis(), spec.p_axis())
+
+def _closed_form_audit(amps: PhysicalAmplitudes, params: ThermalParams,
+                       cutoff: int, numeric: WignerGrid
+                       ) -> tuple[WignerGrid, ObservableReport]:
+    """The printed series on the grid of `numeric` (the Wigner function of
+    the heated state at this cutoff), and its report against it.
+
+    Each printed family is summed on the distinct r^2 of the grid whose
+    envelope is nonzero (elsewhere every term is an exact zero), in one
+    recurrence for all five superscripts, and scattered back once, times
+    its phase-space prefactor.
+    """
+    _require_real(amps)
+    spec = numeric.spec
+    qg, pg, r2, inv = spec._radial
     x_arg = 2.0 * r2
     with np.errstate(under="ignore"):
         envelope = np.exp(-x_arg / 2.0)
+    live = np.count_nonzero(envelope)  # a prefix: r2 is sorted
     k, k1 = params.k, params.k1
     n_signed = (-1.0) ** np.arange(cutoff + 1)
     with np.errstate(under="ignore"):
         geom = k1 ** np.arange(cutoff + 1, dtype=float)
 
-    families = _closed_form_families(amps, params, qg, pg)
-    by_k: dict[int, list] = {}
-    for kk, shift, pref, weight in families:
-        by_k.setdefault(kk, []).append((shift, pref, weight))
+    # stably sorted by superscript: the order the families are summed in
+    families = sorted(_closed_form_families(
+        amps, params, qg, pg, np.arange(cutoff + 1, dtype=float)),
+        key=lambda family: family[0])
+    ks = [family[0] for family in families]
+    # one recurrence row per superscript, longest first; a family of shift
+    # s reads degree m of its row at master-sum index n = m - s
+    tops = {kk: cutoff + max(shift for k_f, shift, _, _ in families
+                             if k_f == kk)
+            for kk in ks}
+    row_ks = sorted(tops, key=lambda kk: -tops[kk])
+    row_families = [slice(ks.index(kk), ks.index(kk) + ks.count(kk))
+                    for kk in row_ks]
+    coef = np.zeros((len(families), tops[row_ks[0]] + 1))
+    for i, (_, shift, _, weight) in enumerate(families):
+        coef[i, shift: shift + cutoff + 1] = geom * n_signed * weight
+    acc = np.zeros((len(families), r2.size))
+    term = np.empty((len(families), live))
+    for m, rows, scaled in _laguerre_rows(
+            row_ks, [tops[kk] for kk in row_ks], x_arg[:live],
+            envelope[:live]):
+        for r, fams in enumerate(row_families[:rows]):
+            np.multiply(coef[fams, m, None], scaled[r], out=term[fams])
+            acc[fams, :live] += term[fams]
 
     total = np.zeros_like(qg)
-    for kk in sorted(by_k):
-        group = by_k[kk]
-        radial = [np.zeros_like(r2) for _ in group]
-        top = cutoff + max(shift for shift, _, _ in group)
-        for m, scaled_l in _scaled_laguerre_steps(kk, top, x_arg, envelope):
-            for (shift, _, weight), acc in zip(group, radial):
-                n = m - shift
-                if 0 <= n <= cutoff:
-                    acc += (geom[n] * n_signed[n] * weight(n)) * scaled_l
-        for (_, pref, _), acc in zip(group, radial):
-            total += pref * acc[inv]
+    for (_, _, pref, _), radial in zip(families, acc):
+        total += pref * radial[inv]
     values = k * CLOSED_FORM_WIGNER_SCALE * total
     closed = WignerGrid(spec, values)
 
@@ -543,4 +635,4 @@ def _wigner_audit(amps: PhysicalAmplitudes, params: ThermalParams,
             grid=[spec.q_min, spec.q_max, spec.p_min, spec.p_max,
                   spec.nq, spec.np],
         ))
-    return numeric, closed, report
+    return closed, report

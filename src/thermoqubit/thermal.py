@@ -155,6 +155,18 @@ def _ladder_coefficients(amps: PhysicalAmplitudes, params: ThermalParams):
     }
 
 
+# The parts of auto_cutoff's quartic tail table that do not depend on n_bar:
+# the index n and log(n + j) for j = 1..4, one row each, which every call
+# adds one at a time in the order the table has always been summed; and the
+# candidate cutoffs.
+_TAIL_N = np.arange(0, CUTOFF_CAP + 1500, dtype=float)
+_TAIL_LOGS = np.log(_TAIL_N + np.arange(1.0, 5.0)[:, None])
+_CUTOFF_CANDIDATES = np.arange(_CUTOFF_FLOOR, CUTOFF_CAP + 1)
+for _table in (_TAIL_N, _TAIL_LOGS, _CUTOFF_CANDIDATES):
+    _table.setflags(write=False)
+del _table
+
+
 def auto_cutoff(n_bar: float, tail_tol: float = TAIL_TOL_DEFAULT) -> int:
     """Smallest cutoff whose neglected tail is below tail_tol.
 
@@ -173,15 +185,15 @@ def auto_cutoff(n_bar: float, tail_tol: float = TAIL_TOL_DEFAULT) -> int:
     k1 = n_bar / (1.0 + n_bar)
     u8 = (1.0 + n_bar) ** 4
 
-    n = np.arange(0, CUTOFF_CAP + 1500, dtype=float)
+    log_n1, log_n2, log_n3, log_n4 = _TAIL_LOGS
     with np.errstate(under="ignore"):
-        log_terms = (math.log(k) + n * math.log(k1)
-                     + np.log(n + 1) + np.log(n + 2) + np.log(n + 3) + np.log(n + 4)
+        log_terms = (math.log(k) + _TAIL_N * math.log(k1)
+                     + log_n1 + log_n2 + log_n3 + log_n4
                      - math.log(24.0 * u8))
         terms = np.exp(log_terms)
     suffix = np.cumsum(terms[::-1])[::-1]
 
-    cand = np.arange(_CUTOFF_FLOOR, CUTOFF_CAP + 1)
+    cand = _CUTOFF_CANDIDATES
     # written as "not failing" so a NaN comparison passes, as it always has
     ok = ~(((cand + 1) * math.log(k1) >= math.log(tail_tol * (1.0 - k1)))
            | (suffix[np.maximum(cand - 3, 0)] >= tail_tol))

@@ -19,6 +19,9 @@ from . import fock, gates, observables, thermal
 DEFAULT_N_BARS = (0.0, 0.1, 0.3, 1.0, 10.0)
 GATE_RESIDUAL_N_BARS = (0.0, 0.2, 0.5)
 CLOSED_FORM_N_BARS = (0.0, 0.1, 0.3, 1.0)
+# the Wigner checks and the closed-form audit share the default-grid
+# Wigner function of the heated state at this n_bar
+COLD_N_BAR = 0.1
 
 
 @dataclass
@@ -182,7 +185,15 @@ def _observable_checks(amps, rng):
                  detail="Q equals n_bar for the bare thermal state")
 
 
-def _wigner_checks(amps):
+def _heated_wigner(amps, n_bar):
+    """(cutoff, rho, W on the default widened grid) of the heated state."""
+    params = thermal.ThermalParams.from_mean_occupation(n_bar)
+    cutoff = thermal.auto_cutoff(n_bar)
+    rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
+    return cutoff, rho, observables.wigner_from_density(rho)
+
+
+def _wigner_checks(amps, cold):
     grid_small = observables.GridSpec(-6, 6, -6, 6, 201, 201)
     vac = np.zeros((9, 9), dtype=complex)
     vac[0, 0] = 1.0
@@ -206,11 +217,9 @@ def _wigner_checks(amps):
     yield _check("wigner_linearity", lin, 1e-12)
 
     negativities = {}
-    for n_bar in (0.1, 10.0):
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
-        cutoff = thermal.auto_cutoff(n_bar)
-        rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
-        w = observables.wigner_from_density(rho)
+    for n_bar in (COLD_N_BAR, 10.0):
+        cutoff, rho, w = cold if n_bar == COLD_N_BAR else _heated_wigner(
+            amps, n_bar)
         yield _check("wigner_normalization", abs(w.integral() - 1.0),
                      1e-6, n_bar, f"grid [{w.spec.q_min}, {w.spec.q_max}]^2")
         parity = float(np.sum((-1.0) ** np.arange(cutoff + 1)
@@ -221,16 +230,16 @@ def _wigner_checks(amps):
                      abs(w.values[iq, ip] - parity), 1e-10, n_bar)
         negativities[n_bar] = observables.wigner_negativity(w)
 
-    hot, cold = negativities[10.0], negativities[0.1]
+    hot, cold_neg = negativities[10.0], negativities[COLD_N_BAR]
     yield _check("wigner_negativity_ordering",
-                 0.0 if hot < cold else hot - cold, 0.0,
-                 detail=f"neg(0.1)={cold:.6e}, neg(10)={hot:.6e}")
+                 0.0 if hot < cold_neg else hot - cold_neg, 0.0,
+                 detail=f"neg(0.1)={cold_neg:.6e}, neg(10)={hot:.6e}")
     yield _check("wigner_negativity_suppression",
-                 hot / cold if cold > 0 else math.inf, 0.1,
+                 hot / cold_neg if cold_neg > 0 else math.inf, 0.1,
                  detail="hot/cold negativity ratio must stay below 10%")
 
 
-def _closed_form_audits(amps):
+def _closed_form_audits(amps, cold):
     for n_bar in CLOSED_FORM_N_BARS:
         params = thermal.ThermalParams.from_mean_occupation(n_bar)
         fid = observables.fidelity_closed_form(amps, params)
@@ -244,7 +253,11 @@ def _closed_form_audits(amps):
                      tol, n_bar,
                      f"numeric={mandel.value_numeric:.9e} "
                      f"closed={mandel.value_closed_form:.9e}")
-        _, wig = observables.wigner_closed_form(amps, params)
+        if n_bar == COLD_N_BAR:  # the same grid the Wigner checks computed
+            cutoff, _, w = cold
+            _, wig = observables._closed_form_audit(amps, params, cutoff, w)
+        else:
+            _, wig = observables.wigner_closed_form(amps, params)
         yield _check("wigner_closed_form_audit",
                      wig.params["max_abs_discrepancy"], None, n_bar,
                      f"integral numeric={wig.value_numeric:.9e} "
@@ -264,8 +277,9 @@ def run_verification(amps: thermal.PhysicalAmplitudes | None = None,
     checks.extend(_gate_checks(amps, rng))
     checks.extend(_gate_thermalization_checks(amps))
     checks.extend(_observable_checks(amps, rng))
-    checks.extend(_wigner_checks(amps))
-    checks.extend(_closed_form_audits(amps))
+    cold = _heated_wigner(amps, COLD_N_BAR)
+    checks.extend(_wigner_checks(amps, cold))
+    checks.extend(_closed_form_audits(amps, cold))
     return {
         "all_passed": all(c.passed for c in checks),
         "n_bars": list(n_bars),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoqubit import cli, observables
+from thermoqubit import cli, observables, verify
 from thermoqubit.observables import GridSpec, ObservableReport
 from thermoqubit.thermal import PhysicalAmplitudes
 
@@ -134,6 +134,8 @@ NBAR_ERROR = "n_bar must be finite and nonnegative"
 TAIL_TOL_ERROR = "tail_tol must be in (0, 1e-10]"
 CUTOFF_ERROR = "cutoff must be 'auto' or an integer in [8, 512]"
 STEPS_ERROR = "n_bar range needs an integer of at least 2 steps"
+REAL_AMPS_ERROR = "needs real amplitudes"
+COMPLEX_AMPS = "--amps=0.1,0.2,0.3,0.4,0.5,-0.2,0.1,0.6"
 BAD_ARGV = [
     (["wigner-grid", "--nbar", "nan"], NBAR_ERROR),
     (["wigner-grid", "--nbar", "inf"], NBAR_ERROR),
@@ -154,6 +156,9 @@ BAD_ARGV = [
     (["sweep-fidelity", "--cutoff", "12.5"], CUTOFF_ERROR),
     (["sweep-fidelity", "--nbar-range", "0:1:1"], STEPS_ERROR),
     (["sweep-mandel", "--nbar-range", "0:1:two"], STEPS_ERROR),
+    # the closed-form Wigner series is printed for real amplitudes only
+    (["wigner-grid", "--nbar", "1", COMPLEX_AMPS], REAL_AMPS_ERROR),
+    (["verify", COMPLEX_AMPS], REAL_AMPS_ERROR),
 ]
 
 
@@ -178,6 +183,27 @@ def test_bad_nbar_in_config_file_rejected(tmp_path, capsys):
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == [conf]
     assert NBAR_ERROR in capsys.readouterr().err
+
+
+def test_complex_amps_in_config_file_rejected(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("amps=" + COMPLEX_AMPS.partition("=")[2] + "\n")
+    with pytest.raises(SystemExit) as exc, pytest.warns(UserWarning):
+        cli.main(["verify", "--config", str(conf),
+                  "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [conf]
+    err = capsys.readouterr().err
+    assert REAL_AMPS_ERROR in err
+    assert "Traceback" not in err
+
+
+def test_complex_amps_still_sweep(tmp_path):
+    # the sweeps conjugate properly, so they keep taking complex amplitudes
+    with pytest.warns(UserWarning, match="renormalized"):
+        rc = cli.main(["sweep-fidelity", "--nbar-range", "0:1:3", COMPLEX_AMPS,
+                       "--out", str(tmp_path / "fid.csv")])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("line, message", [
@@ -308,6 +334,36 @@ def test_wigner_grid_hot_negativity_suppressed(tmp_path):
     assert neg_hot < neg_cold
 
 
+def test_wigner_csv_block_writer_matches_row_writer():
+    # one q row of edge values: signed zero, the smallest subnormal, a tiny
+    # normal, a value that rounds up to the next decade, and non-finite ones
+    q = np.array([-1.0, 0.0, 0.5])
+    p = np.array([-0.25, 0.0, 0.25, 1e-300])
+    numeric = np.array([[-0.0, 5e-324, 1e-300, 0.99999999995],
+                        [0.0, -5e-324, -1e-300, -0.99999999995],
+                        [math.pi, np.nan, np.inf, -np.inf]])
+    closed = numeric[::-1, ::-1] * -1.0
+    rows = [[cli._fmt(qv), cli._fmt(pv), cli._fmt(wn), cli._fmt(wc)]
+            for qv, numeric_row, closed_row in zip(q, numeric, closed)
+            for pv, wn, wc in zip(p, numeric_row, closed_row)]
+    expected = cli._rows_to_output(
+        ["q", "p", "w_numeric", "w_closed_form"], rows, "csv")
+    assert cli._wigner_csv(q, p, numeric, closed) == expected
+    assert "-0.000000000e+00" in expected and "1.000000000e+00" in expected
+
+
+def test_wigner_grid_json_matches_csv(tmp_path):
+    grid = "--grid=-3:3:9,-2:2:7"
+    outs = {}
+    for fmt in ("csv", "json"):
+        outs[fmt] = tmp_path / f"w.{fmt}"
+        assert cli.main(["wigner-grid", "--nbar", "1", grid, "--format", fmt,
+                         "--out", str(outs[fmt])]) == 0
+    records = json.loads(outs["json"].read_text())
+    assert records == read_csv(outs["csv"])
+    assert len(records) == 9 * 7
+
+
 @pytest.mark.parametrize("n_bar, evaluations", [("0.1", 1), ("1", 2), ("10", 3)])
 def test_wigner_grid_evaluates_each_grid_once(tmp_path, monkeypatch,
                                               n_bar, evaluations):
@@ -335,6 +391,22 @@ def test_verify_green(verify_report):
     assert rc == 0
     assert report["all_passed"] is True
     assert report["counts"]["failed"] == 0
+
+
+def test_verify_evaluates_each_wigner_grid_once(monkeypatch):
+    # the Wigner checks and the closed-form audit share the n_bar = 0.1
+    # default grid; no (rho, grid) pair is evaluated twice
+    seen = []
+    kernel = observables._wigner_values
+
+    def counted(rho, spec):
+        seen.append((rho.shape, rho.tobytes(), spec))
+        return kernel(rho, spec)
+
+    monkeypatch.setattr(observables, "_wigner_values", counted)
+    report = verify.run_verification()
+    assert report["counts"]["total"] == 85 and report["all_passed"]
+    assert len(set(seen)) == len(seen)
 
 
 def test_verify_contains_gate_residual(verify_report):

@@ -9,6 +9,7 @@ from thermoqubit.fock import FockMatrix
 from thermoqubit.observables import (
     CLOSED_FORM_WIGNER_SCALE,
     GridSpec,
+    _closed_form_families,
     _wigner_values,
     laguerre_assoc,
     wigner_closed_form,
@@ -167,9 +168,96 @@ def test_kernel_matches_direct_sum(q, p):
     assert np.abs(upper.imag).min() > 0.0  # and its conjugate phase count
     reference = direct_wigner(rho, q, p)
     assert np.abs(reference.imag).max() < 1e-12
-    got = _wigner_values(rho, q, p)
+    spec = GridSpec(q[0], q[-1], p[0], p[-1], len(q), len(p))
+    assert np.array_equal(spec.q_axis(), q) and np.array_equal(spec.p_axis(), p)
+    got = _wigner_values(rho, spec)
     assert got.shape == (len(q), len(p))
     assert np.abs(got - reference.real).max() <= 1e-12
+
+
+def scaled_laguerre_steps(k, top, arg, envelope):
+    """The envelope-scaled Laguerre recurrence, one degree at a time."""
+    prev, cur = None, envelope
+    yield 0, cur
+    if top == 0:
+        return
+    prev, cur = cur, (1.0 + k - arg) * envelope
+    yield 1, cur
+    for m in range(2, top + 1):
+        prev, cur = cur, ((2 * m - 1 + k - arg) * cur - (m - 1 + k) * prev) / m
+        yield m, cur
+
+
+def wigner_by_offset(rho, q, p):
+    """The kernel as one recurrence per diagonal offset, scanning every
+    offset and every distinct r^2: the loop the band-only kernel replaced,
+    kept as its bit-for-bit reference."""
+    dim = rho.shape[0]
+    qg, pg = np.meshgrid(q, p, indexing="ij")
+    r2, inv = np.unique((qg**2 + pg**2).ravel(), return_inverse=True)
+    inv = inv.reshape(qg.shape)
+    x_arg = 2.0 * r2
+    with np.errstate(under="ignore"):
+        envelope = np.exp(-r2)
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(dim)])
+    w = np.zeros(qg.shape, dtype=complex)
+    for off in range(dim):
+        lower = np.diagonal(rho, -off)
+        upper = np.diagonal(rho, off)
+        if not (np.any(lower) or np.any(upper)):
+            continue
+        n_top = dim - 1 - off
+        weights = ((-1.0) ** np.arange(n_top + 1)
+                   * np.exp(0.5 * (log_fact[: n_top + 1] - log_fact[off:])))
+        acc_lower = np.zeros(r2.shape, dtype=complex)
+        acc_upper = np.zeros(r2.shape, dtype=complex)
+        for n, scaled_l in scaled_laguerre_steps(off, n_top, x_arg, envelope):
+            acc_lower += (lower[n] * weights[n]) * scaled_l
+            if off:
+                acc_upper += (upper[n] * weights[n]) * scaled_l
+        if off == 0:
+            w += acc_lower[inv]
+        else:
+            factor = (np.sqrt(2.0) * (qg - 1j * pg)) ** off
+            w += factor * acc_lower[inv] + np.conj(factor) * acc_upper[inv]
+    w /= math.pi
+    return w.real
+
+
+def assert_bit_identical(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+DEFAULT_GRIDS = [GridSpec(), GridSpec().doubled(), GridSpec().doubled().doubled()]
+
+
+def hollow_density():
+    # every diagonal nonzero except the interior offset 2, in both triangles
+    rho = random_complex_density(6, seed=7)
+    rows = np.arange(4)
+    rho[rows + 2, rows] = 0.0
+    rho[rows, rows + 2] = 0.0
+    return rho
+
+
+@pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("grid", DEFAULT_GRIDS, ids=["8", "16", "32"])
+def test_kernel_matches_per_offset_loop_heated(n_bar, grid):
+    # the heated state has 5 nonzero diagonals; on [-32, 32]^2 the envelope
+    # underflows on 28,576 of the 66,049 points
+    rho = heated_rho(n_bar).data
+    assert_bit_identical(_wigner_values(rho, grid),
+                         wigner_by_offset(rho, grid.q_axis(), grid.p_axis()))
+
+
+@pytest.mark.parametrize("rho", [random_complex_density(6, seed=7),
+                                 hollow_density()],
+                         ids=["all-diagonals", "zero-interior-diagonal"])
+@pytest.mark.parametrize("grid", [GRID6, DEFAULT_GRIDS[2]], ids=["6", "32"])
+def test_kernel_matches_per_offset_loop_complex(rho, grid):
+    assert_bit_identical(_wigner_values(rho, grid),
+                         wigner_by_offset(rho, grid.q_axis(), grid.p_axis()))
 
 
 def test_deterministic_values():
@@ -193,6 +281,49 @@ def test_closed_form_thermal_family_matches_numeric():
         thermal_vacuum_density(params, 60), GRID6)
     assert np.abs(closed.values - numeric.values).max() < 1e-8
     assert report.params["max_abs_discrepancy"] < 1e-8
+
+
+def closed_form_by_family(amps, params, spec, cutoff):
+    """The printed series with one recurrence per superscript and the
+    families read one degree at a time: the loop the batched series
+    replaced, kept as its bit-for-bit reference."""
+    qg, pg = np.meshgrid(spec.q_axis(), spec.p_axis(), indexing="ij")
+    r2, inv = np.unique((qg**2 + pg**2).ravel(), return_inverse=True)
+    inv = inv.reshape(qg.shape)
+    x_arg = 2.0 * r2
+    with np.errstate(under="ignore"):
+        envelope = np.exp(-x_arg / 2.0)
+        geom = params.k1 ** np.arange(cutoff + 1, dtype=float)
+    n_signed = (-1.0) ** np.arange(cutoff + 1)
+    by_k = {}
+    for kk, shift, pref, weight in _closed_form_families(
+            amps, params, qg, pg, np.arange(cutoff + 1, dtype=float)):
+        by_k.setdefault(kk, []).append((shift, pref, weight))
+    total = np.zeros_like(qg)
+    for kk in sorted(by_k):
+        group = by_k[kk]
+        radial = [np.zeros_like(r2) for _ in group]
+        top = cutoff + max(shift for shift, _, _ in group)
+        for m, scaled_l in scaled_laguerre_steps(kk, top, x_arg, envelope):
+            for (shift, _, weight), acc in zip(group, radial):
+                n = m - shift
+                if 0 <= n <= cutoff:
+                    acc += (geom[n] * n_signed[n] * float(weight[n])) * scaled_l
+        for (_, pref, _), acc in zip(group, radial):
+            total += pref * acc[inv]
+    return params.k * CLOSED_FORM_WIGNER_SCALE * total
+
+
+@pytest.mark.parametrize("n_bar", [0.1, 10.0])
+def test_closed_form_matches_per_family_loop(n_bar):
+    params = params_for(n_bar)
+    cutoff = auto_cutoff(n_bar)
+    closed, report = wigner_closed_form(DEFAULT_AMPLITUDES, params,
+                                        cutoff=cutoff)
+    spec = GridSpec(*report.params["grid"])
+    assert_bit_identical(
+        closed.values,
+        closed_form_by_family(DEFAULT_AMPLITUDES, params, spec, cutoff))
 
 
 def test_closed_form_grid_negative_region_cold():
