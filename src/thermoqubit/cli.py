@@ -105,6 +105,24 @@ def _wigner_csv(q: np.ndarray, p: np.ndarray, numeric: np.ndarray,
     return "".join(blocks)
 
 
+def _wigner_json(q: np.ndarray, p: np.ndarray, numeric: np.ndarray,
+                 closed: np.ndarray) -> str:
+    """The wigner-grid JSON, templated like `_wigner_csv`: a record is its
+    p part, the row's q text and a tail taking the (w_closed_form,
+    w_numeric) pair, so each q row is one `%`.  Same bytes as
+    `_rows_to_output` on `_fmt` cells (keys sorted, indent 2; the %.9e
+    texts need no escaping)."""
+    heads = ['  {\n    "p": "' + _fmt(v) + '",\n    "q": "' for v in p.tolist()]
+    tail = ('",\n    "w_closed_form": "%s",\n    "w_numeric": "%s"\n  }'
+            % (_FLOAT_FMT, _FLOAT_FMT))
+    pairs = np.stack([closed, numeric], axis=-1).reshape(len(q), -1)
+    rows = []
+    for q_text, row in zip(map(_fmt, q.tolist()), pairs.tolist()):
+        end = q_text + tail
+        rows.append(((end + ",\n").join(heads) + end) % tuple(row))
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -188,17 +206,8 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
         raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
 
     spec = closed.spec
-    if cfg.format == "csv":
-        text = _wigner_csv(spec.q_axis(), spec.p_axis(),
-                           numeric.values, closed.values)
-    else:
-        q_text = [_fmt(v) for v in spec.q_axis().tolist()]
-        p_text = [_fmt(v) for v in spec.p_axis().tolist()]
-        rows = [[qt, pt, _fmt(wn), _fmt(wc)]
-                for qt, numeric_row, closed_row in zip(
-                    q_text, numeric.values.tolist(), closed.values.tolist())
-                for pt, wn, wc in zip(p_text, numeric_row, closed_row)]
-        text = _rows_to_output(_WIGNER_HEADER, rows, cfg.format)
+    writer = _wigner_csv if cfg.format == "csv" else _wigner_json
+    text = writer(spec.q_axis(), spec.p_axis(), numeric.values, closed.values)
     _write_text(cfg.out, text)
 
     sidecar = {

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError
-from .fock import (
-    FockMatrix,
-    FockVector,
-    build_ladder,
-    identity,
-    tensor_product,
-)
+from .fock import FockMatrix, FockVector, build_ladder
 
 TAIL_TOL_DEFAULT = 1e-10
 CUTOFF_CAP = 512
@@ -369,6 +363,15 @@ def _pair_sector_indices(cutoff: int, sector: int) -> np.ndarray:
     return nt * d + n
 
 
+def _sector_couplings(cutoff: int, sector: int) -> np.ndarray:
+    """Sub-diagonal couplings sqrt((n+1)(nt+1)) of `_sector_generator`."""
+    size = cutoff + 1 - abs(sector)
+    j = np.arange(size - 1, dtype=float)
+    if sector >= 0:
+        return np.sqrt((j + sector + 1.0) * (j + 1.0))
+    return np.sqrt((j + 1.0) * (j - sector + 1.0))
+
+
 def _sector_generator(cutoff: int, sector: int) -> np.ndarray:
     """Pair-creation generator restricted to one n - n_tilde sector.
 
@@ -376,13 +379,29 @@ def _sector_generator(cutoff: int, sector: int) -> np.ndarray:
     to |n+1, nt+1>, so it is block-diagonal over sectors; within a sector
     the sub-diagonal couplings are sqrt((n+1)(nt+1)).
     """
-    size = cutoff + 1 - abs(sector)
-    j = np.arange(size - 1, dtype=float)
-    if sector >= 0:
-        coup = np.sqrt((j + sector + 1.0) * (j + 1.0))
-    else:
-        coup = np.sqrt((j + 1.0) * (j - sector + 1.0))
+    coup = _sector_couplings(cutoff, sector)
     return np.diag(coup, -1) - np.diag(coup, 1)
+
+
+def _sector_exponential(theta: float, cutoff: int, sector: int) -> np.ndarray:
+    """exp(theta G) for the sector generator G of `_sector_generator`.
+
+    G is real antisymmetric tridiagonal with couplings c.  With
+    S = diag(i^j), S^+ G S = -i T, where T is the real symmetric tridiagonal
+    matrix with the same couplings, so
+
+        exp(theta G) = S Q diag(exp(-i theta w)) Q^T S^+
+
+    from the eigendecomposition T = Q diag(w) Q^T.  G is normal, so this
+    spectral route is well conditioned (Moler & Van Loan, "Nineteen
+    dubious ways to compute the exponential of a matrix", SIAM Rev. 45, 3
+    (2003)).  The result is real; its imaginary part is rounding only.
+    """
+    coup = _sector_couplings(cutoff, sector)
+    w, q = np.linalg.eigh(np.diag(coup, -1) + np.diag(coup, 1))
+    s = 1j ** np.arange(len(coup) + 1)
+    return ((s[:, None] * (q * np.exp(-1j * theta * w)) @ q.T)
+            * s.conj()[None, :]).real
 
 
 def bogoliubov_unitary(params: ThermalParams, cutoff: int,
@@ -395,15 +414,12 @@ def bogoliubov_unitary(params: ThermalParams, cutoff: int,
     sector by sector (the generator is block-diagonal over n - n_tilde),
     which is exactly equivalent to exponentiating the full generator.
     """
-    import scipy.linalg  # only the expm oracles need scipy
-
     validate_cutoff(cutoff, params, tail_tol)
     d = cutoff + 1
     u = np.zeros((d * d, d * d), dtype=complex)
     for sector in range(-cutoff, cutoff + 1):
         idx = _pair_sector_indices(cutoff, sector)
-        block = scipy.linalg.expm(params.theta * _sector_generator(cutoff, sector))
-        u[np.ix_(idx, idx)] = block
+        u[np.ix_(idx, idx)] = _sector_exponential(params.theta, cutoff, sector)
     return FockMatrix(u, cutoff, mode_count=2)
 
 
@@ -413,13 +429,18 @@ def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> FockVector:
     The doubled vacuum lives in the n = n_tilde sector, which the pair
     generator never leaves, so only that sector's block is exponentiated.
     """
-    import scipy.linalg  # only the expm oracles need scipy
-
     d = cutoff + 1
-    block = scipy.linalg.expm(params.theta * _sector_generator(cutoff, 0))
+    block = _sector_exponential(params.theta, cutoff, 0)
     vec = np.zeros(d * d, dtype=complex)
     vec[_pair_sector_indices(cutoff, 0)] = block[:, 0]
     return FockVector(vec, cutoff, mode_count=2)
+
+
+def _apply_original(op: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """(op x I) applied to two-mode vector data without forming op x I:
+    in the [n_tilde, n] view the original index is the column."""
+    d = op.shape[0]
+    return (data.reshape(d, d) @ op.T).reshape(-1)
 
 
 def _raise_original(vec: FockVector) -> FockVector:
@@ -459,7 +480,13 @@ def thermal_superposition_state(amps: PhysicalAmplitudes,
                                 tail_tol: float = TAIL_TOL_DEFAULT) -> FockVector:
     """|Psi(b)> = x|0(b)> + y|1(b)> + z|2(b)> + w|4(b)> on the doubled space."""
     amps.require_normalized()
-    s0, s1, s2, s4 = thermal_number_states(params, cutoff, tail_tol)
+    return _superpose(amps, thermal_number_states(params, cutoff, tail_tol))
+
+
+def _superpose(amps: PhysicalAmplitudes, states: list[FockVector]) -> FockVector:
+    """x s0 + y s1 + z s2 + w s4 over `thermal_number_states` output."""
+    s0, s1, s2, s4 = states
+    cutoff = s0.cutoff
     x, y, z, w = amps.as_tuple()
     data = x * s0.data + y * s1.data + z * s2.data + w * s4.data
     return FockVector(data, cutoff, mode_count=2)
@@ -485,13 +512,13 @@ def gate_thermalization_residual(gate: FockMatrix, amps_in: PhysicalAmplitudes,
     amps_in.require_normalized()
 
     u_beta = bogoliubov_unitary(params, cutoff)
-    gate2 = tensor_product(gate, identity(cutoff))
     psi_prime = amps_in.as_vector(cutoff)
     vac = np.zeros(cutoff + 1, dtype=complex)
     vac[0] = 1.0
     doubled = np.kron(vac, psi_prime.data)  # |psi', 0_tilde>
 
     thermalized = u_beta.data @ doubled
-    lhs = u_beta.data @ (gate2.data @ (u_beta.data.conj().T @ thermalized))
-    rhs = u_beta.data @ (gate2.data @ doubled)
+    lhs = u_beta.data @ _apply_original(
+        gate.data, u_beta.data.conj().T @ thermalized)
+    rhs = u_beta.data @ _apply_original(gate.data, doubled)
     return float(np.linalg.norm(lhs - rhs))

@@ -48,7 +48,10 @@ def _density_checks(amps, n_bar, tail_tol=1e-10):
     cutoff = thermal.auto_cutoff(n_bar, tail_tol)
     rho_exp = thermal.thermal_state_density_expansion(amps, params, cutoff)
     rho_op = thermal.thermal_state_density_operator(amps, params, cutoff)
-    psi_beta = thermal.thermal_superposition_state(amps, params, cutoff)
+    # the purified number states are built once and serve both the
+    # superposition and the doubled-vacuum identities below
+    states = thermal.thermal_number_states(params, cutoff)
+    psi_beta = thermal._superpose(amps, states)
     rho_red = fock.reduce_pure_state(psi_beta, keep="original")
 
     yield _check("density_agreement_expansion_vs_operator",
@@ -73,7 +76,7 @@ def _density_checks(amps, n_bar, tail_tol=1e-10):
                      "count of non-decreasing steps in the geometric diagonal")
 
     # doubled-space expectation identity <0(b)|(A x I)|0(b)> = tr(rho_b A)
-    vac = thermal.thermal_number_states(params, cutoff)[0]
+    vac = states[0]
     d = cutoff + 1
     m = vac.data.reshape(d, d)
     occ = np.arange(d, dtype=float)

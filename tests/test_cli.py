@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoqubit import cli, observables, verify
+from thermoqubit import cli, observables, thermal, verify
 from thermoqubit.observables import GridSpec, ObservableReport
 from thermoqubit.thermal import PhysicalAmplitudes
 
@@ -334,9 +334,10 @@ def test_wigner_grid_hot_negativity_suppressed(tmp_path):
     assert neg_hot < neg_cold
 
 
-def test_wigner_csv_block_writer_matches_row_writer():
-    # one q row of edge values: signed zero, the smallest subnormal, a tiny
-    # normal, a value that rounds up to the next decade, and non-finite ones
+def edge_grid():
+    """(q, p, numeric, closed, row-writer rows) of a grid of edge values:
+    signed zero, the smallest subnormal, a tiny normal, a value that rounds
+    up to the next decade, and non-finite ones."""
     q = np.array([-1.0, 0.0, 0.5])
     p = np.array([-0.25, 0.0, 0.25, 1e-300])
     numeric = np.array([[-0.0, 5e-324, 1e-300, 0.99999999995],
@@ -346,10 +347,24 @@ def test_wigner_csv_block_writer_matches_row_writer():
     rows = [[cli._fmt(qv), cli._fmt(pv), cli._fmt(wn), cli._fmt(wc)]
             for qv, numeric_row, closed_row in zip(q, numeric, closed)
             for pv, wn, wc in zip(p, numeric_row, closed_row)]
+    return q, p, numeric, closed, rows
+
+
+def test_wigner_csv_block_writer_matches_row_writer():
+    q, p, numeric, closed, rows = edge_grid()
     expected = cli._rows_to_output(
         ["q", "p", "w_numeric", "w_closed_form"], rows, "csv")
     assert cli._wigner_csv(q, p, numeric, closed) == expected
     assert "-0.000000000e+00" in expected and "1.000000000e+00" in expected
+
+
+def test_wigner_json_block_writer_matches_row_writer():
+    q, p, numeric, closed, rows = edge_grid()
+    expected = cli._rows_to_output(
+        ["q", "p", "w_numeric", "w_closed_form"], rows, "json")
+    assert cli._wigner_json(q, p, numeric, closed) == expected
+    for text in ('"-0.000000000e+00"', '"nan"', '"inf"', '"-inf"'):
+        assert text in expected
 
 
 def test_wigner_grid_json_matches_csv(tmp_path):
@@ -409,6 +424,22 @@ def test_verify_evaluates_each_wigner_grid_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_verify_builds_each_doubled_vacuum_once(monkeypatch):
+    # one U(beta)|0, 0_tilde> per density-check n_bar serves both the
+    # superposition and the doubled-vacuum identities
+    calls = []
+    vacuum = thermal._thermal_vacuum_vector
+
+    def counted(params, cutoff):
+        calls.append(params.n_bar)
+        return vacuum(params, cutoff)
+
+    monkeypatch.setattr(thermal, "_thermal_vacuum_vector", counted)
+    report = verify.run_verification()
+    assert report["all_passed"]
+    assert calls == list(verify.DEFAULT_N_BARS)
+
+
 def test_verify_contains_gate_residual(verify_report):
     _, report = verify_report
     entries = [c for c in report["checks"]
@@ -443,13 +474,13 @@ for argv in (["sweep-fidelity", "--nbar-range", "0:14:5"],
     assert cli.main(argv + ["--out", out]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(cli.main(["verify", "--out", out]))
-print("scipy.linalg" in sys.modules)
+print(any(m.split(".")[0] == "scipy" for m in sys.modules))
 """
 
 
 def test_scipy_stays_off_the_command_path(tmp_path):
-    # a fresh process, since the tests themselves import scipy; only the
-    # doubled-space expm oracles that verify runs load it
+    # a fresh process, since the tests themselves import scipy; no
+    # command, verify included, loads any scipy module
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -458,4 +489,4 @@ def test_scipy_stays_off_the_command_path(tmp_path):
         [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0", "True"]
+    assert proc.stdout.splitlines() == ["[]", "0", "False"]

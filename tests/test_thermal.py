@@ -16,6 +16,9 @@ from thermoqubit.fock import (
 from thermoqubit.gates import half_period_gate_matrix
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
+    _apply_original,
+    _sector_exponential,
+    _sector_generator,
     PhysicalAmplitudes,
     ThermalParams,
     auto_cutoff,
@@ -279,6 +282,60 @@ def test_bogoliubov_matches_dense_exponential():
     dense = scipy.linalg.expm(gen)
     blocked = bogoliubov_unitary(p, cutoff)
     assert np.abs(dense - blocked.data).max() < 1e-12
+
+
+def sectors_of(cutoff):
+    """Every n - n_tilde sector up to cutoff 64; above it 21 evenly spread
+    ones, 0 and +-cutoff among them (scipy's expm of all 719 sectors at
+    cutoff 359 takes about a minute)."""
+    if cutoff <= 64:
+        return range(-cutoff, cutoff + 1)
+    return np.linspace(-cutoff, cutoff, 21).round().astype(int).tolist()
+
+
+@pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
+def test_sector_exponential_matches_expm(n_bar):
+    # the spectral route against scipy's expm at the auto cutoff (16, 51
+    # and 359)
+    p = params_for(n_bar)
+    cutoff = auto_cutoff(n_bar)
+    worst = max(
+        np.abs(_sector_exponential(p.theta, cutoff, sector)
+               - scipy.linalg.expm(p.theta * _sector_generator(cutoff, sector))
+               ).max()
+        for sector in sectors_of(cutoff))
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
+def test_sector_exponential_is_orthogonal(n_bar):
+    p = params_for(n_bar)
+    cutoff = auto_cutoff(n_bar)
+    for sector in sectors_of(cutoff):
+        block = _sector_exponential(p.theta, cutoff, sector)
+        assert block.dtype == float
+        assert np.abs(block @ block.T - np.eye(len(block))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_bar, cutoff", [(0.1, 40), (math.sinh(0.5) ** 2, 40),
+                                           (1.0, 120)])
+def test_sector_exponential_vacuum_column_is_geometric(n_bar, cutoff):
+    # the n = n_tilde sector maps |0, 0_tilde> to sech(theta) tanh(theta)^n
+    # (cutoffs where the truncated tail is negligible)
+    theta = params_for(n_bar).theta
+    column = _sector_exponential(theta, cutoff, 0)[:, 0]
+    expect = np.tanh(theta) ** np.arange(cutoff + 1) / np.cosh(theta)
+    assert np.abs(column - expect).max() < 1e-10
+
+
+def test_apply_original_matches_tensor_product():
+    cutoff = 40
+    d = cutoff + 1
+    gate, _ = np.linalg.qr(RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)))
+    vec = RNG.normal(size=d * d) + 1j * RNG.normal(size=d * d)
+    vec /= np.linalg.norm(vec)
+    dense = tensor_product(FockMatrix(gate, cutoff), identity(cutoff)).data
+    assert np.abs(_apply_original(gate, vec) - dense @ vec).max() <= 1e-14
 
 
 def test_bogoliubov_vacuum_reduction_is_geometric():
