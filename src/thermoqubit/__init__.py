@@ -31,9 +31,11 @@ from .observables import (
     ObservableReport,
     WignerGrid,
     fidelity_closed_form,
+    fidelity_columns,
     fidelity_numeric,
     laguerre_assoc,
     mandel_closed_form,
+    mandel_columns,
     mandel_numeric,
     wigner_closed_form,
     wigner_from_density,
@@ -81,12 +83,14 @@ __all__ = [
     "encode",
     "evolve_half_period",
     "fidelity_closed_form",
+    "fidelity_columns",
     "fidelity_numeric",
     "gate_thermalization_residual",
     "half_period_gate_matrix",
     "identity",
     "laguerre_assoc",
     "mandel_closed_form",
+    "mandel_columns",
     "mandel_numeric",
     "mean_occupation",
     "reduce_pure_state",

@@ -23,11 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observables, thermal, verify
-from .errors import CutoffError, GridWideningError, MandelUndefinedError
+from .errors import CutoffError, GridWideningError
 
 EXIT_NUMERICAL_LIMIT = 3
 _FLOAT_FMT = "%.9e"
 _REGIME_DEADBAND = 1e-9
+# n_bar points per block-reader call: bounds the Mandel diagonal block
+# (points x largest cutoff) a sweep holds at once
+_SWEEP_BLOCK = 32
 
 
 def _fmt(value: float) -> str:
@@ -127,6 +130,37 @@ def _wigner_json(q: np.ndarray, p: np.ndarray, numeric: np.ndarray,
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _cutoff_blocks(cfg: SweepConfig):
+    """The sweep's n_bar values in blocks of at most _SWEEP_BLOCK, each with
+    the cutoffs of its points, resolved point by point.
+
+    A point whose cutoff fails ends the sweep as it would point by point:
+    the points before it are yielded (and evaluated) first, then its
+    CutoffError is raised.
+    """
+    values = cfg.n_bar_values()
+    for start in range(0, len(values), _SWEEP_BLOCK):
+        n_bar = values[start: start + _SWEEP_BLOCK]
+        cutoffs = []
+        try:
+            for value in n_bar.tolist():
+                cutoffs.append(cfg.resolved_cutoff(value))
+        except CutoffError:
+            if cutoffs:
+                yield n_bar[: len(cutoffs)], cutoffs
+            raise
+        yield n_bar, cutoffs
+
+
+def _sweep_columns(cfg: SweepConfig, reader) -> list[np.ndarray]:
+    """n_bar and the (numeric, closed form, discrepancy) columns of `reader`
+    (called once per block with the amplitudes, n_bar and the cutoffs)
+    over the whole sweep."""
+    blocks = [(n_bar, *reader(cfg.amps, n_bar, cutoffs))
+              for n_bar, cutoffs in _cutoff_blocks(cfg)]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 def cmd_sweep_fidelity(cfg: SweepConfig) -> str:
     """n_bar sweep of numeric and closed-form fidelity.
 
@@ -134,15 +168,9 @@ def cmd_sweep_fidelity(cfg: SweepConfig) -> str:
     heated state only moves away from the pure target), so nondecreasing
     along a descending sweep; a violation beyond 1e-10 aborts the run.
     """
-    def point(n_bar):
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
-        cutoff = cfg.resolved_cutoff(n_bar)
-        report = observables.fidelity_closed_form(cfg.amps, params, cutoff)
-        return (n_bar, report.value_numeric, report.value_closed_form,
-                report.abs_discrepancy)
-
-    results = [point(n_bar) for n_bar in cfg.n_bar_values()]
-    numeric = [r[1] for r in results]
+    columns = _sweep_columns(
+        cfg, lambda amps, n_bar, _: observables.fidelity_columns(amps, n_bar))
+    numeric = columns[1].tolist()
     ascending = cfg.n_bar_end >= cfg.n_bar_start
     for i in range(1, len(numeric)):
         # (colder, hotter) fidelities of the two neighbouring points
@@ -153,7 +181,7 @@ def cmd_sweep_fidelity(cfg: SweepConfig) -> str:
                 f"fidelity increased with n_bar, from {cold:.12f} to "
                 f"{hot:.12f}, between sweep points {i-1} and {i}")
     rows = [[_fmt(nb), _fmt(fn), _fmt(fc), _fmt(d)]
-            for nb, fn, fc, d in results]
+            for nb, fn, fc, d in zip(*(c.tolist() for c in columns))]
     header = ["n_bar", "fidelity_numeric", "fidelity_closed_form", "discrepancy"]
     text = _rows_to_output(header, rows, cfg.format)
     _write_text(cfg.out, text)
@@ -170,20 +198,9 @@ def _regime(q: float) -> str:
 
 def cmd_sweep_mandel(cfg: SweepConfig) -> str:
     """n_bar sweep of numeric and closed-form Mandel Q with regime labels."""
-    def point(n_bar):
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
-        try:
-            cutoff = cfg.resolved_cutoff(n_bar)
-            report = observables.mandel_closed_form(cfg.amps, params, cutoff)
-            return (n_bar, report.value_numeric, report.value_closed_form,
-                    report.abs_discrepancy)
-        except MandelUndefinedError:
-            nan = float("nan")
-            return (n_bar, nan, nan, nan)
-
-    results = [point(n_bar) for n_bar in cfg.n_bar_values()]
+    columns = _sweep_columns(cfg, observables.mandel_columns)
     rows = [[_fmt(nb), _fmt(qn), _fmt(qc), _fmt(d), _regime(qn)]
-            for nb, qn, qc, d in results]
+            for nb, qn, qc, d in zip(*(c.tolist() for c in columns))]
     header = ["n_bar", "q_numeric", "q_closed_form", "discrepancy", "regime"]
     text = _rows_to_output(header, rows, cfg.format)
     _write_text(cfg.out, text)

@@ -10,7 +10,17 @@ both values and their discrepancy so the audit is always visible.
 The numeric paths read only the entries of rho they need, from the same
 ladder families as `thermal_state_density_expansion`: the fidelity the
 leading 5 x 5 block (the target lives on |0>, |1>, |2>, |4>), Mandel Q the
-diagonal.  Only the Wigner function builds the full matrix.
+diagonal.  Only the Wigner function builds the full matrix.  The 5 x 5
+block's entries do not depend on the cutoff, so the numeric fidelity
+does not either (it returns the same bits at cutoff 51 and 512 at
+n_bar = 1); its cutoff only decides whether CutoffError is raised.
+
+Fidelity and Mandel Q are evaluated in blocks of n_bar: `fidelity_columns`
+and `mandel_columns` return the numeric, closed-form and discrepancy
+columns of a whole block, as array expressions over a leading n_bar
+axis, and the sweeps call them once per bounded block of points.  The
+point-by-point functions are one-point calls of the same readers, and
+every value has the bits a point-by-point evaluation gives.
 """
 
 from __future__ import annotations
@@ -26,8 +36,9 @@ from .fock import FockMatrix
 from .thermal import (
     PhysicalAmplitudes,
     ThermalParams,
-    _density_block,
-    _density_diagonal,
+    _complex_div,
+    _density_entries,
+    _float_pow,
     resolve_cutoff,
     thermal_state_density_expansion,
 )
@@ -150,59 +161,114 @@ def _echo_params(amps: PhysicalAmplitudes, params: ThermalParams,
 # fidelity
 # ---------------------------------------------------------------------------
 
+def _fidelity_values(amps: PhysicalAmplitudes, n_bar: np.ndarray) -> np.ndarray:
+    """sqrt(<Psi| rho |Psi>) at every n_bar of a block.
+
+    The contraction with the target is one BLAS call per point on that
+    point's 5 x 5 block, as a single point has always been evaluated:
+    numpy's stacked matmul sums in another order, which would make a
+    value depend on its block.
+    """
+    rho = _density_entries(amps, n_bar, _TARGET_SIZE)
+    psi = amps.as_vector(_TARGET_SIZE - 1).data
+    psi_conj = psi.conj()
+    val = np.array([np.real(psi_conj @ block @ psi) for block in rho])
+    above = np.flatnonzero(val > 1.0 + 1e-10)
+    if above.size:
+        raise ArithmeticError(f"fidelity^2 = {float(val[above[0]])} exceeds 1 "
+                              f"beyond tolerance")
+    return np.sqrt(np.maximum(val, 0.0))
+
+
 def fidelity_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
                      cutoff=None) -> float:
-    """sqrt(<Psi| rho |Psi>) between the pure target and its heated state."""
+    """sqrt(<Psi| rho |Psi>) between the pure target and its heated state.
+
+    Only rho's leading 5 x 5 block is read, and its entries do not depend
+    on the cutoff: the cutoff is resolved (selected or validated) only so
+    that an n_bar past the cap still raises CutoffError.
+    """
     amps.require_normalized()
-    cutoff = resolve_cutoff(cutoff, params)
-    block = _density_block(amps, params, cutoff, _TARGET_SIZE)
-    psi = amps.as_vector(_TARGET_SIZE - 1).data
-    val = float(np.real(psi.conj() @ block @ psi))
-    if val > 1.0 + 1e-10:
-        raise ArithmeticError(f"fidelity^2 = {val} exceeds 1 beyond tolerance")
-    return math.sqrt(max(val, 0.0))
+    resolve_cutoff(cutoff, params)
+    return float(_fidelity_values(amps, np.array([params.n_bar]))[0])
 
 
-def _fidelity_series_terms(amps: PhysicalAmplitudes, params: ThermalParams):
-    """The 26 printed terms of the closed-form fidelity series, verbatim.
+def _fidelity_series_terms(amps: PhysicalAmplitudes, u: np.ndarray):
+    """The 26 printed terms of the closed-form fidelity series, verbatim,
+    over an array u of Bogoliubov factors.
 
     Each entry is (coefficient, power of k1).  k1^0 is taken as 1 even at
     zero temperature (0^0 = 1).  Several terms are structurally suspect
     (unconjugated products, odd u powers); they are evaluated as printed.
+    Every coefficient has the bits of the scalar series: powers of u go
+    through `_float_pow`, and a Python complex numerator divides through
+    `_complex_div` (the np.conj ones divide as numpy complex scalars do).
     """
     x, y, z, w = [complex(a) for a in amps.as_tuple()]
-    u = params.u
+    up = {j: _float_pow(u, j) for j in (2, 3, 4, 5, 6, 8)}
+    up[1] = u
     ax2, ay2 = abs(x) ** 2, abs(y) ** 2
     az2, aw2 = abs(z) ** 2, abs(w) ** 2
     s2, s6, s24 = math.sqrt(2.0), math.sqrt(6.0), math.sqrt(24.0)
     return [
         (ax2 ** 2, 0),
-        (ax2 * ay2 / u, 0),
-        (ax2 * az2 / (s2 * u**2), 0),
-        (ax2 * aw2 / (s24 * u**4), 0),
-        (ax2 * ay2 / u, 0),
-        (ax2 ** 2 * ay2 / u**2, 1),
-        (ay2 ** 2 / u**2, 0),
-        (s2 * ay2 * x * z / u, 1),
-        (ay2 * az2 / u**3, 0),
-        (s24 * ay2 * aw2 / (s24 * u**5), 0),
-        (s2 * ax2 * az2 / u**2, 0),
-        (s2 * np.conj(x) * np.conj(z) * y**2 / u, 1),
-        (ay2 * az2 / u**3, 0),
+        (ax2 * ay2 / up[1], 0),
+        (ax2 * az2 / (s2 * up[2]), 0),
+        (ax2 * aw2 / (s24 * up[4]), 0),
+        (ax2 * ay2 / up[1], 0),
+        (ax2 ** 2 * ay2 / up[2], 1),
+        (ay2 ** 2 / up[2], 0),
+        (_complex_div(s2 * ay2 * x * z, up[1]), 1),
+        (ay2 * az2 / up[3], 0),
+        (s24 * ay2 * aw2 / (s24 * up[5]), 0),
+        (s2 * ax2 * az2 / up[2], 0),
+        (s2 * np.conj(x) * np.conj(z) * y**2 / up[1], 1),
+        (ay2 * az2 / up[3], 0),
         (ax2 * az2, 2),
-        (2 * ay2 * az2 / u**2, 1),
-        (az2 ** 2 / u**4, 2),
-        (s6 * x * w * az2 / u**2, 2),
-        (s6 * az2 * aw2 / (s24 * u**6), 0),
-        (s24 * x * np.conj(w) / (s24 * u**4), 0),
-        (s24 * az2 * aw2 / (s24 * u**5), 0),
-        (s6 * x**2 * z**2 * np.conj(w) / u**4, 2),
-        (2 * s6 * az2 * aw2 / (s24 * u**4), 0),
+        (2 * ay2 * az2 / up[2], 1),
+        (az2 ** 2 / up[4], 2),
+        (_complex_div(s6 * x * w * az2, up[2]), 2),
+        (s6 * az2 * aw2 / (s24 * up[6]), 0),
+        (s24 * x * np.conj(w) / (s24 * up[4]), 0),
+        (s24 * az2 * aw2 / (s24 * up[5]), 0),
+        (s6 * x**2 * z**2 * np.conj(w) / up[4], 2),
+        (2 * s6 * az2 * aw2 / (s24 * up[4]), 0),
         (ax2 * aw2, 4),
-        (4 * ay2 * aw2 / u**2, 3),
-        (az2 * aw2 / (2 * u**4), 2),
-        (24 * aw2 ** 2 / (24 * u**8), 0),
+        (4 * ay2 * aw2 / up[2], 3),
+        (az2 * aw2 / (2 * up[4]), 2),
+        (24 * aw2 ** 2 / (24 * up[8]), 0),
     ]
+
+
+def _fidelity_series(amps: PhysicalAmplitudes, n_bar: np.ndarray) -> np.ndarray:
+    """The printed fidelity series at every n_bar of a block: summed term
+    by term and square-rooted (NaN where the sum is negative)."""
+    k = 1.0 / (1.0 + n_bar)
+    k1 = n_bar / (1.0 + n_bar)
+    k1_pow = {j: _float_pow(k1, j) for j in range(1, 5)}
+    total = np.zeros(len(n_bar), dtype=complex)
+    for coef, npow in _fidelity_series_terms(amps, np.sqrt(1.0 + n_bar)):
+        total += coef * k * (k1_pow[npow] if npow else 1.0)
+    re = total.real
+    return np.sqrt(np.where(re >= 0, re, np.nan))
+
+
+def fidelity_columns(amps: PhysicalAmplitudes, n_bar
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numeric fidelity, printed closed form and their absolute discrepancy
+    at every n_bar of a block, as three arrays.
+
+    The values are those `fidelity_closed_form` reports point by point,
+    bit for bit.  No cutoff is taken: the numeric path reads only the
+    cutoff-free 5 x 5 block, so a caller resolves each point's cutoff
+    itself when it needs the CutoffError.  Raises ArithmeticError at the
+    first point whose fidelity^2 exceeds 1 beyond tolerance.
+    """
+    amps.require_normalized()
+    n_bar = np.asarray(n_bar, dtype=float)
+    closed = _fidelity_series(amps, n_bar)
+    numeric = _fidelity_values(amps, n_bar)
+    return numeric, closed, np.abs(numeric - closed)
 
 
 def fidelity_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
@@ -217,34 +283,51 @@ def fidelity_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     """
     amps.require_normalized()
     cutoff = resolve_cutoff(cutoff, params)
-    k, k1 = params.k, params.k1
-    total = complex(0.0)
-    for coef, npow in _fidelity_series_terms(amps, params):
-        total += coef * k * (k1 ** npow if npow else 1.0)
-    re = total.real
-    closed = math.sqrt(re) if re >= 0 else float("nan")
-    numeric = fidelity_numeric(amps, params, cutoff)
+    numeric, closed, _ = fidelity_columns(amps, [params.n_bar])
     return ObservableReport.compare(
-        numeric, closed, _echo_params(amps, params, cutoff))
+        numeric[0], closed[0], _echo_params(amps, params, cutoff))
 
 
 # ---------------------------------------------------------------------------
 # Mandel Q
 # ---------------------------------------------------------------------------
 
+def _mandel_values(amps: PhysicalAmplitudes, n_bar: np.ndarray, cutoffs
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, <N>) at every n_bar of a block, each point on rho's diagonal up
+    to its own cutoff; Q is NaN where <N> is below _MEAN_OCCUPATION_EPS.
+
+    The block's diagonals are padded to its largest cutoff.  The two
+    moments are one BLAS dot per point over that point's own entries, as
+    a single point has always been evaluated, so the padding moves no
+    bit.
+    """
+    sizes = [cutoff + 1 for cutoff in cutoffs]
+    diag = _density_entries(amps, n_bar, max(sizes), diagonal=True)
+    n = np.arange(max(sizes), dtype=float)
+    n2 = n * n
+    q = np.full(len(sizes), np.nan)
+    mean = np.empty(len(sizes))
+    for i, (row, size) in enumerate(zip(diag, sizes)):
+        n_diag = row[:size].real
+        mean_n = mean[i] = float(n_diag @ n[:size])
+        if mean_n >= _MEAN_OCCUPATION_EPS:
+            mean_n2 = float(n_diag @ n2[:size])
+            q[i] = (mean_n2 - mean_n**2 - mean_n) / mean_n
+    return q, mean
+
+
 def mandel_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
                    cutoff=None) -> float:
     """Q = (<N^2> - <N>^2 - <N>) / <N> on the heated state."""
     amps.require_normalized()
     cutoff = resolve_cutoff(cutoff, params)
-    n_diag = _density_diagonal(amps, params, cutoff)
-    n = np.arange(cutoff + 1, dtype=float)
-    mean_n = float(n_diag @ n)
-    mean_n2 = float(n_diag @ (n * n))
-    if mean_n < _MEAN_OCCUPATION_EPS:
+    q, mean_n = _mandel_values(amps, np.array([params.n_bar]), [cutoff])
+    if mean_n[0] < _MEAN_OCCUPATION_EPS:
         raise MandelUndefinedError(
-            f"<N> = {mean_n:.3e}: Mandel Q undefined on a zero-occupation state")
-    return (mean_n2 - mean_n**2 - mean_n) / mean_n
+            f"<N> = {mean_n[0]:.3e}: Mandel Q undefined on a zero-occupation "
+            f"state")
+    return float(q[0])
 
 
 def _mandel_coefficients(amps: PhysicalAmplitudes) -> dict:
@@ -270,6 +353,42 @@ def _mandel_coefficients(amps: PhysicalAmplitudes) -> dict:
     }
 
 
+def _mandel_series(amps: PhysicalAmplitudes, n_bar: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(printed Q, its denominator c1 v^2 + c2 u^2) at every n_bar of a
+    block; Q is NaN where the denominator is below _MEAN_OCCUPATION_EPS."""
+    c = _mandel_coefficients(amps)
+    u2 = _float_pow(np.sqrt(1.0 + n_bar), 2)
+    v2 = _float_pow(np.sqrt(n_bar), 2)
+    den = c["c1"] * v2 + c["c2"] * u2
+    num = ((c["c6"] - c["c4"]) * u2 * v2
+           + (c["c7"] - c["c3"]) * _float_pow(v2, 2)
+           + (c["c8"] - c["c5"]) * _float_pow(u2, 2) - c["c1"] * v2 - c["c2"] * u2)
+    defined = den >= _MEAN_OCCUPATION_EPS
+    closed = np.full(len(den), np.nan)
+    closed[defined] = num[defined] / den[defined]
+    return closed, den
+
+
+def mandel_columns(amps: PhysicalAmplitudes, n_bar, cutoffs
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numeric Mandel Q, printed closed form and their absolute discrepancy
+    at every n_bar of a block, each point truncated at its cutoff.
+
+    The values are those `mandel_closed_form` reports point by point, bit
+    for bit.  Where either form is undefined (a zero-occupation state,
+    where the point-by-point functions raise MandelUndefinedError) all
+    three are NaN.  The cutoffs are taken as given, not validated.
+    """
+    amps.require_normalized()
+    n_bar = np.asarray(n_bar, dtype=float)
+    closed, den = _mandel_series(amps, n_bar)
+    numeric, mean_n = _mandel_values(amps, n_bar, cutoffs)
+    undefined = (den < _MEAN_OCCUPATION_EPS) | (mean_n < _MEAN_OCCUPATION_EPS)
+    closed[undefined] = numeric[undefined] = np.nan
+    return numeric, closed, np.abs(numeric - closed)
+
+
 def mandel_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
                        cutoff=None) -> ObservableReport:
     """Audit of the published closed-form Mandel Q against the numeric path.
@@ -284,19 +403,14 @@ def mandel_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     numeric path arbitrates.
     """
     amps.require_normalized()
-    c = _mandel_coefficients(amps)
-    u2, v2 = params.u ** 2, params.v ** 2
-    den = c["c1"] * v2 + c["c2"] * u2
-    if den < _MEAN_OCCUPATION_EPS:
+    closed, den = _mandel_series(amps, np.array([params.n_bar]))
+    if den[0] < _MEAN_OCCUPATION_EPS:
         raise MandelUndefinedError(
-            f"denominator c1 v^2 + c2 u^2 = {den:.3e}: Mandel Q undefined")
-    num = ((c["c6"] - c["c4"]) * u2 * v2 + (c["c7"] - c["c3"]) * v2**2
-           + (c["c8"] - c["c5"]) * u2**2 - c["c1"] * v2 - c["c2"] * u2)
-    closed = num / den
+            f"denominator c1 v^2 + c2 u^2 = {den[0]:.3e}: Mandel Q undefined")
     cutoff = resolve_cutoff(cutoff, params)
     numeric = mandel_numeric(amps, params, cutoff)
     return ObservableReport.compare(
-        numeric, closed, _echo_params(amps, params, cutoff))
+        numeric, closed[0], _echo_params(amps, params, cutoff))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ tests lean on that triple agreement as the core cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -137,26 +136,49 @@ class PhysicalAmplitudes:
 DEFAULT_AMPLITUDES = PhysicalAmplitudes(0.2, 0.3, 0.6, math.sqrt(0.51))
 
 
-def _ladder_coefficients(amps: PhysicalAmplitudes, params: ThermalParams):
+def _float_pow(base: np.ndarray, exponent: int) -> np.ndarray:
+    """base ** exponent elementwise, rounded as a Python float power is (the
+    C library's pow).  numpy's vectorized power rounds differently in the
+    last bit for a few percent of inputs."""
+    return np.array([b ** exponent for b in base.tolist()])
+
+
+def _complex_div(numer: complex, den: np.ndarray) -> np.ndarray:
+    """numer / d for each real d of den, rounded as Python's complex
+    division rounds it: part by part.  numpy's complex division multiplies
+    by the reciprocal instead."""
+    return numer.real / den + 1j * (numer.imag / den)
+
+
+def _mul_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * conj(b) elementwise, each real product rounded on its own as a
+    complex scalar product is.  numpy's vectorized complex multiply fuses
+    them."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real + a.imag * b.imag
+    out.imag = a.imag * b.real - a.real * b.imag
+    return out
+
+
+def _ladder_coefficients(amps: PhysicalAmplitudes, u: np.ndarray) -> dict:
     """Coefficients of f = x + (y/u) a^+ + (z/(sqrt2 u^2)) a^+2 + (w/(sqrt24 u^4)) a^+4,
-    keyed by the power of the raising operator."""
-    u = params.u
+    keyed by the power of the raising operator: one complex array over u."""
+    x, y, z, w = amps.as_tuple()
     return {
-        0: complex(amps.x),
-        1: complex(amps.y) / u,
-        2: complex(amps.z) / (math.sqrt(2.0) * u**2),
-        4: complex(amps.w) / (math.sqrt(24.0) * u**4),
+        0: np.full(u.shape, x),
+        1: _complex_div(y, u),
+        2: _complex_div(z, math.sqrt(2.0) * _float_pow(u, 2)),
+        4: _complex_div(w, math.sqrt(24.0) * _float_pow(u, 4)),
     }
 
 
-# The parts of auto_cutoff's quartic tail table that do not depend on n_bar:
-# the index n and log(n + j) for j = 1..4, one row each, which every call
-# adds one at a time in the order the table has always been summed; and the
-# candidate cutoffs.
-_TAIL_N = np.arange(0, CUTOFF_CAP + 1500, dtype=float)
-_TAIL_LOGS = np.log(_TAIL_N + np.arange(1.0, 5.0)[:, None])
+# The candidate cutoffs, and for the index m = max(cutoff - 3, 0) of each
+# the binomials C(m + 4, 4 - j), j = 0..4, of auto_cutoff's closed-form tail.
 _CUTOFF_CANDIDATES = np.arange(_CUTOFF_FLOOR, CUTOFF_CAP + 1)
-for _table in (_TAIL_N, _TAIL_LOGS, _CUTOFF_CANDIDATES):
+_TAIL_INDEX = np.maximum(_CUTOFF_CANDIDATES - 3, 0).astype(float)
+_TAIL_BINOMIALS = np.array([[math.comb(int(m) + 4, 4 - j) for m in _TAIL_INDEX]
+                            for j in range(5)], dtype=float)
+for _table in (_CUTOFF_CANDIDATES, _TAIL_INDEX, _TAIL_BINOMIALS):
     _table.setflags(write=False)
 del _table
 
@@ -175,22 +197,21 @@ def auto_cutoff(n_bar: float, tail_tol: float = TAIL_TOL_DEFAULT) -> int:
         raise ValueError(f"mean occupation must be nonnegative, got {n_bar}")
     if n_bar == 0:
         return _CUTOFF_FLOOR
-    k = 1.0 / (1.0 + n_bar)
     k1 = n_bar / (1.0 + n_bar)
-    u8 = (1.0 + n_bar) ** 4
-
-    log_n1, log_n2, log_n3, log_n4 = _TAIL_LOGS
+    # Quartic tail from index m, sum_{n >= m} k k1^n (n+1)...(n+4) / (24 u^8),
+    # in closed form: the negative-binomial tail
+    # sum_{n >= m} C(n+4, 4) x^n = x^m sum_{j=0}^{4} C(m+4, 4-j) x^j (1-x)^-(j+1)
+    # at x = k1, 1 - x = k, gives k1^m (1 + n_bar)^-4 sum_j C(m+4, 4-j) n_bar^j.
+    poly = _TAIL_BINOMIALS[4]
+    for j in range(3, -1, -1):
+        poly = poly * n_bar + _TAIL_BINOMIALS[j]
     with np.errstate(under="ignore"):
-        log_terms = (math.log(k) + _TAIL_N * math.log(k1)
-                     + log_n1 + log_n2 + log_n3 + log_n4
-                     - math.log(24.0 * u8))
-        terms = np.exp(log_terms)
-    suffix = np.cumsum(terms[::-1])[::-1]
+        tail = np.exp(_TAIL_INDEX * math.log(k1)) * poly / (1.0 + n_bar) ** 4
 
     cand = _CUTOFF_CANDIDATES
     # written as "not failing" so a NaN comparison passes, as it always has
     ok = ~(((cand + 1) * math.log(k1) >= math.log(tail_tol * (1.0 - k1)))
-           | (suffix[np.maximum(cand - 3, 0)] >= tail_tol))
+           | (tail >= tail_tol))
     first = int(np.argmax(ok))
     if ok[first]:
         return int(cand[first])
@@ -247,61 +268,43 @@ def _occupation_shift_root(n: np.ndarray, shift: int) -> np.ndarray:
     return np.sqrt(prod)
 
 
-def _density_families(amps: PhysicalAmplitudes, params: ThermalParams,
-                      cutoff: int, tail_tol: float, size: int) -> list:
-    """(p, q, values) for each of the sixteen ladder families of the expansion.
+def _density_entries(amps: PhysicalAmplitudes, n_bar: np.ndarray, size: int,
+                     diagonal: bool = False) -> np.ndarray:
+    """Leading size x size block of `thermal_state_density_expansion` at
+    every n_bar of a block, shape (len(n_bar), size, size); with
+    diagonal=True only its diagonal, shape (len(n_bar), size), from the
+    four p == q families.
 
-    values() returns the (p, q) family's terms: values()[n] sits at matrix
-    position (n+p, n+q), for the n that keep both indices below `size` (at
-    most cutoff + 1).  The terms do not depend on `size`, so a reader that
-    needs only the leading entries of rho gets the same values as the full
-    matrix.  The inputs are checked before anything is computed or
-    allocated, and a family's terms are computed only when a reader asks
-    for them, so the diagonal reader pays for four families, not sixteen.
+    The (p, q) family puts its n-th term at (n+p, n+q) for the n that keep
+    both indices below `size`.  No entry depends on `size` or on the
+    cutoff, so a reader of the leading entries gets the bits of the full
+    matrix, and a block of points padded to its largest size gives each
+    point the entries of its own.  Every operation is elementwise along
+    the n_bar axis, so a point's entries do not depend on its block.
     """
-    amps.require_normalized()
-    validate_cutoff(cutoff, params, tail_tol)
-    k, k1 = params.k, params.k1
-    coeffs = _ladder_coefficients(amps, params)
+    n_bar = np.asarray(n_bar, dtype=float)
+    k = 1.0 / (1.0 + n_bar)
+    k1 = n_bar / (1.0 + n_bar)
+    coeffs = _ladder_coefficients(amps, np.sqrt(1.0 + n_bar))
     n_all = np.arange(size, dtype=float)
     with np.errstate(under="ignore"):
-        geom = k * k1 ** n_all
+        geom = k[:, None] * k1[:, None] ** n_all
     roots = {p: _occupation_shift_root(n_all, p) for p in coeffs}
-
-    def family(p, q):
-        length = size - max(p, q)  # keep both |n+p> and <n+q|
-        return ((coeffs[p] * np.conj(coeffs[q])) * geom[:length]
-                * roots[p][:length] * roots[q][:length])
-
-    return [(p, q, functools.partial(family, p, q))
-            for p in coeffs for q in coeffs if max(p, q) < size]
-
-
-def _density_block(amps: PhysicalAmplitudes, params: ThermalParams,
-                   cutoff: int, size: int,
-                   tail_tol: float = TAIL_TOL_DEFAULT) -> np.ndarray:
-    """Leading size x size block of `thermal_state_density_expansion`."""
-    families = _density_families(amps, params, cutoff, tail_tol, size)
-    rho = np.zeros((size, size), dtype=complex)
-    for p, q, values in families:
-        vals = values()
-        n = np.arange(len(vals))
-        rho[n + p, n + q] += vals
+    rho = np.zeros((len(n_bar), size) if diagonal else (len(n_bar), size, size),
+                   dtype=complex)
+    for p in coeffs:
+        for q in coeffs:
+            length = size - max(p, q)  # keep both |n+p> and <n+q|
+            if length <= 0 or (diagonal and p != q):
+                continue
+            vals = (_mul_conj(coeffs[p], coeffs[q])[:, None] * geom[:, :length]
+                    * roots[p][:length] * roots[q][:length])
+            if diagonal:
+                rho[:, p: p + length] += vals
+            else:
+                n = np.arange(length)
+                rho[:, n + p, n + q] += vals
     return rho
-
-
-def _density_diagonal(amps: PhysicalAmplitudes, params: ThermalParams,
-                      cutoff: int) -> np.ndarray:
-    """Real diagonal of `thermal_state_density_expansion`; only the p == q
-    families reach it."""
-    families = _density_families(amps, params, cutoff, TAIL_TOL_DEFAULT,
-                                 cutoff + 1)
-    diag = np.zeros(cutoff + 1, dtype=complex)
-    for p, q, values in families:
-        if p == q:
-            vals = values()
-            diag[p: p + len(vals)] += vals
-    return diag.real
 
 
 def thermal_state_density_expansion(amps: PhysicalAmplitudes,
@@ -322,8 +325,10 @@ def thermal_state_density_expansion(amps: PhysicalAmplitudes,
     non-Hermitian y/z slip in one family; the conjugation structure of
     the expectation-value expansion fixes it).
     """
-    return FockMatrix(_density_block(amps, params, cutoff, cutoff + 1,
-                                     tail_tol), cutoff)
+    amps.require_normalized()
+    validate_cutoff(cutoff, params, tail_tol)
+    rho = _density_entries(amps, np.array([params.n_bar]), cutoff + 1)
+    return FockMatrix(rho[0], cutoff)
 
 
 def thermal_state_density_operator(amps: PhysicalAmplitudes,
@@ -341,7 +346,8 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
     inner = cutoff + 4
     _, raising = build_ladder(inner)
     r = raising.data
-    coeffs = _ladder_coefficients(amps, params)
+    coeffs = {p: c[0] for p, c in
+              _ladder_coefficients(amps, np.array([params.u])).items()}
     f = (coeffs[0] * np.eye(inner + 1, dtype=complex)
          + coeffs[1] * r
          + coeffs[2] * (r @ r)
@@ -416,7 +422,9 @@ def bogoliubov_unitary(params: ThermalParams, cutoff: int,
     """
     validate_cutoff(cutoff, params, tail_tol)
     d = cutoff + 1
-    u = np.zeros((d * d, d * d), dtype=complex)
+    # the sector blocks are real: the complex copy FockMatrix makes of this
+    # float matrix is the only complex one
+    u = np.zeros((d * d, d * d))
     for sector in range(-cutoff, cutoff + 1):
         idx = _pair_sector_indices(cutoff, sector)
         u[np.ix_(idx, idx)] = _sector_exponential(params.theta, cutoff, sector)
@@ -518,7 +526,8 @@ def gate_thermalization_residual(gate: FockMatrix, amps_in: PhysicalAmplitudes,
     doubled = np.kron(vac, psi_prime.data)  # |psi', 0_tilde>
 
     thermalized = u_beta.data @ doubled
+    # U^+ v as (v^* U)^*, without forming the conjugate transpose of U
     lhs = u_beta.data @ _apply_original(
-        gate.data, u_beta.data.conj().T @ thermalized)
+        gate.data, (thermalized.conj() @ u_beta.data).conj())
     rhs = u_beta.data @ _apply_original(gate.data, doubled)
     return float(np.linalg.norm(lhs - rhs))

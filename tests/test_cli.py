@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thermoqubit import cli, observables, thermal, verify
-from thermoqubit.observables import GridSpec, ObservableReport
+from thermoqubit.observables import GridSpec
 from thermoqubit.thermal import PhysicalAmplitudes
 
 
@@ -121,10 +121,10 @@ def test_sweep_fidelity_descending(tmp_path):
 def test_sweep_fidelity_monotone_check_follows_direction(
         tmp_path, monkeypatch, n_bar_range):
     # a fidelity that grows with n_bar must abort either sweep direction
-    def rising(amps, params, cutoff):
-        return ObservableReport.compare(params.n_bar, params.n_bar, {})
+    def rising(amps, n_bar):
+        return n_bar, n_bar, 0.0 * n_bar
 
-    monkeypatch.setattr(observables, "fidelity_closed_form", rising)
+    monkeypatch.setattr(observables, "fidelity_columns", rising)
     with pytest.raises(RuntimeError, match="fidelity increased"):
         cli.main(["sweep-fidelity", "--nbar-range", n_bar_range,
                   "--out", str(tmp_path / "fid.csv")])

@@ -121,7 +121,9 @@ def test_cutoff_cap_error():
 
 def _auto_cutoff_loop(n_bar, tail_tol):
     """The candidate-by-candidate scan `auto_cutoff` used before it was
-    vectorized, kept whole (tail table included) as the reference."""
+    vectorized, kept whole as the reference: its quartic tail is the
+    exp/cumsum table summed to n = 2011, where `auto_cutoff` now takes the
+    closed-form infinite sum."""
     if n_bar == 0:
         return 8
     k = 1.0 / (1.0 + n_bar)
@@ -159,6 +161,15 @@ def test_auto_cutoff_scan_matches_loop(tail_tol):
             continue
         assert auto_cutoff(n_bar, tail_tol) == expected, n_bar
     assert failures > 0
+
+
+def test_auto_cutoff_matches_loop_on_benchmark_sweeps():
+    # every n_bar of the benchmark's four sweep commands (their cutoffs
+    # reach 496 of the 512 cap)
+    for n_bar in np.concatenate([np.linspace(0.0, 14.0, 400),
+                                 np.linspace(0.0, 2.0, 50),
+                                 np.linspace(0.0, 1.0, 41)]).tolist():
+        assert auto_cutoff(n_bar) == _auto_cutoff_loop(n_bar, 1e-10), n_bar
 
 
 def test_insufficient_cutoff_rejected():
