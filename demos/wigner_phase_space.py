@@ -54,8 +54,8 @@ for label, n_bar in (("cold", 0.1), ("hot", 10.0)):
     cutoff = auto_cutoff(n_bar)
     rho = thermal_state_density_expansion(DEFAULT_AMPLITUDES, params, cutoff)
     numeric = wigner_from_density(rho)
-    closed, audit = wigner_closed_form(DEFAULT_AMPLITUDES, params,
-                                       numeric.spec, cutoff)
+    closed, audit = wigner_closed_form(DEFAULT_AMPLITUDES, params, numeric,
+                                       cutoff)
     results[label] = (n_bar, numeric, closed, audit)
     print(f"--- {label}: n_bar = {n_bar}, cutoff = {cutoff}, grid "
           f"[{numeric.spec.q_min:g}, {numeric.spec.q_max:g}]^2 ---")

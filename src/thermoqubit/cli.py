@@ -216,11 +216,13 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
     cutoff = cfg.resolved_cutoff(n_bar)
+    rho = thermal.thermal_state_density_expansion(cfg.amps, params, cutoff)
     try:
-        numeric, closed, report = observables._wigner_audit(
-            cfg.amps, params, cfg.grid, cutoff)
+        numeric = observables.wigner_from_density(rho, cfg.grid)
     except GridWideningError as exc:
         raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
+    closed, report = observables.wigner_closed_form(cfg.amps, params, numeric,
+                                                    cutoff)
 
     spec = closed.spec
     writer = _wigner_csv if cfg.format == "csv" else _wigner_json

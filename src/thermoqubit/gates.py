@@ -33,11 +33,6 @@ class LogicalState:
         return math.sqrt(abs(self.xp) ** 2 + abs(self.yp) ** 2
                          + abs(self.zp) ** 2 + abs(self.wp) ** 2)
 
-    def require_normalized(self, tol: float = 1e-12):
-        if abs(self.norm() - 1.0) > tol:
-            raise ValueError(f"logical state not normalized: |norm-1| = "
-                             f"{abs(self.norm() - 1.0):.3e}")
-
     def as_tuple(self):
         return (complex(self.xp), complex(self.yp),
                 complex(self.zp), complex(self.wp))

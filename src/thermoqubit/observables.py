@@ -40,7 +40,6 @@ from .thermal import (
     _density_entries,
     _float_pow,
     resolve_cutoff,
-    thermal_state_density_expansion,
 )
 
 GRID_TOL_DEFAULT = 1e-6
@@ -104,7 +103,6 @@ class WignerGrid:
 
     spec: GridSpec
     values: np.ndarray
-    normalization_convention: str = "integral_equals_trace"
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -649,9 +647,10 @@ def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
 
 
 def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
-                       grid: GridSpec | None = None, cutoff=None
+                       numeric: WignerGrid, cutoff: int
                        ) -> tuple[WignerGrid, ObservableReport]:
-    """Published closed-form Wigner series, audited against the numeric path.
+    """Published closed-form Wigner series on the grid of `numeric`, the
+    Wigner function of the heated state at this cutoff, audited against it.
 
     Requires real amplitudes (the printed series uses unconjugated
     products).  The series is truncated at the cutoff, weighted by
@@ -661,41 +660,15 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     integrals and records the pointwise and L1 discrepancies in its
     params (the printed series is known to carry typos; the numeric grid
     is ground truth).
-    """
-    _, closed, report = _wigner_audit(amps, params, grid, cutoff)
-    return closed, report
-
-
-def _require_real(amps: PhysicalAmplitudes):
-    amps.require_normalized()
-    if not amps.is_real():
-        raise ValueError("closed-form Wigner series requires real amplitudes")
-
-
-def _wigner_audit(amps: PhysicalAmplitudes, params: ThermalParams,
-                  grid: GridSpec | None, cutoff
-                  ) -> tuple[WignerGrid, WignerGrid, ObservableReport]:
-    """`wigner_closed_form`, also returning the numeric grid it audits
-    against: (numeric, closed, report)."""
-    _require_real(amps)
-    cutoff = resolve_cutoff(cutoff, params)
-    rho = thermal_state_density_expansion(amps, params, cutoff)
-    numeric = wigner_from_density(rho, grid)
-    return (numeric, *_closed_form_audit(amps, params, cutoff, numeric))
-
-
-def _closed_form_audit(amps: PhysicalAmplitudes, params: ThermalParams,
-                       cutoff: int, numeric: WignerGrid
-                       ) -> tuple[WignerGrid, ObservableReport]:
-    """The printed series on the grid of `numeric` (the Wigner function of
-    the heated state at this cutoff), and its report against it.
 
     Each printed family is summed on the distinct r^2 of the grid whose
     envelope is nonzero (elsewhere every term is an exact zero), in one
     recurrence for all five superscripts, and scattered back once, times
     its phase-space prefactor.
     """
-    _require_real(amps)
+    amps.require_normalized()
+    if not amps.is_real():
+        raise ValueError("closed-form Wigner series requires real amplitudes")
     spec = numeric.spec
     qg, pg, r2, inv = spec._radial
     x_arg = 2.0 * r2

@@ -32,6 +32,7 @@ from .fock import FockMatrix, FockVector, build_ladder
 TAIL_TOL_DEFAULT = 1e-10
 CUTOFF_CAP = 512
 _CUTOFF_FLOOR = 8  # must hold |4> plus the +4 ladder shift of the operators
+_AMPLITUDE_TOL = 1e-12  # on |norm - 1| and on each imaginary part
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ class PhysicalAmplitudes:
         return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2
                          + abs(self.z) ** 2 + abs(self.w) ** 2)
 
-    def require_normalized(self, tol: float = 1e-12):
-        if abs(self.norm() - 1.0) > tol:
+    def require_normalized(self):
+        if abs(self.norm() - 1.0) > _AMPLITUDE_TOL:
             raise ValueError(f"amplitudes not normalized: |norm-1| = "
                              f"{abs(self.norm() - 1.0):.3e}")
 
@@ -128,8 +129,9 @@ class PhysicalAmplitudes:
         vec[0], vec[1], vec[2], vec[4] = self.as_tuple()
         return FockVector(vec, cutoff)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return all(abs(complex(a).imag) <= tol for a in self.as_tuple())
+    def is_real(self) -> bool:
+        return all(abs(complex(a).imag) <= _AMPLITUDE_TOL
+                   for a in self.as_tuple())
 
 
 # Amplitude set used throughout the temperature studies and as CLI default.
@@ -248,10 +250,9 @@ def resolve_cutoff(cutoff, params: ThermalParams,
     return cutoff
 
 
-def thermal_vacuum_density(params: ThermalParams, cutoff: int,
-                           tail_tol: float = TAIL_TOL_DEFAULT) -> FockMatrix:
+def thermal_vacuum_density(params: ThermalParams, cutoff: int) -> FockMatrix:
     """Bare thermal density matrix: diagonal k * k1^n with k = 1/(1+n_bar)."""
-    validate_cutoff(cutoff, params, tail_tol)
+    validate_cutoff(cutoff, params)
     diag = params.k * params.k1 ** np.arange(cutoff + 1)
     return FockMatrix(np.diag(diag.astype(complex)), cutoff)
 
@@ -308,8 +309,7 @@ def _density_entries(amps: PhysicalAmplitudes, n_bar: np.ndarray, size: int,
 
 
 def thermal_state_density_expansion(amps: PhysicalAmplitudes,
-                                    params: ThermalParams, cutoff: int,
-                                    tail_tol: float = TAIL_TOL_DEFAULT) -> FockMatrix:
+                                    params: ThermalParams, cutoff: int) -> FockMatrix:
     """Mixed state of the heated superposition, summed family by family.
 
     Sixteen ladder families contribute, one per pair (p, q) of raising
@@ -326,14 +326,13 @@ def thermal_state_density_expansion(amps: PhysicalAmplitudes,
     the expectation-value expansion fixes it).
     """
     amps.require_normalized()
-    validate_cutoff(cutoff, params, tail_tol)
+    validate_cutoff(cutoff, params)
     rho = _density_entries(amps, np.array([params.n_bar]), cutoff + 1)
     return FockMatrix(rho[0], cutoff)
 
 
 def thermal_state_density_operator(amps: PhysicalAmplitudes,
-                                   params: ThermalParams, cutoff: int,
-                                   tail_tol: float = TAIL_TOL_DEFAULT) -> FockMatrix:
+                                   params: ThermalParams, cutoff: int) -> FockMatrix:
     """Same mixed state, built as f rho_thermal f^dagger with explicit matrices.
 
     f is the creation polynomial x + (y/u) a^+ + (z/(sqrt2 u^2)) (a^+)^2 +
@@ -342,7 +341,7 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
     amplitude.  Serves as the independent oracle for the expansion path.
     """
     amps.require_normalized()
-    validate_cutoff(cutoff, params, tail_tol)
+    validate_cutoff(cutoff, params)
     inner = cutoff + 4
     _, raising = build_ladder(inner)
     r = raising.data
@@ -410,8 +409,7 @@ def _sector_exponential(theta: float, cutoff: int, sector: int) -> np.ndarray:
             * s.conj()[None, :]).real
 
 
-def bogoliubov_unitary(params: ThermalParams, cutoff: int,
-                       tail_tol: float = TAIL_TOL_DEFAULT) -> FockMatrix:
+def bogoliubov_unitary(params: ThermalParams, cutoff: int) -> FockMatrix:
     """exp(theta (a^+ a^+_tilde - a a_tilde)) on the doubled truncated space.
 
     Real-generator convention: the doubled vacuum maps to the two-mode
@@ -420,7 +418,7 @@ def bogoliubov_unitary(params: ThermalParams, cutoff: int,
     sector by sector (the generator is block-diagonal over n - n_tilde),
     which is exactly equivalent to exponentiating the full generator.
     """
-    validate_cutoff(cutoff, params, tail_tol)
+    validate_cutoff(cutoff, params)
     d = cutoff + 1
     # the sector blocks are real: the complex copy FockMatrix makes of this
     # float matrix is the only complex one
@@ -431,17 +429,35 @@ def bogoliubov_unitary(params: ThermalParams, cutoff: int,
     return FockMatrix(u, cutoff, mode_count=2)
 
 
-def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> FockVector:
-    """U(beta)|0, 0_tilde> without forming the full two-mode unitary.
+def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
+                      inverse: bool = False) -> np.ndarray:
+    """U(beta) data, or U^+(beta) data with inverse=True, for two-mode
+    vector data, without forming U(beta).
 
-    The doubled vacuum lives in the n = n_tilde sector, which the pair
-    generator never leaves, so only that sector's block is exponentiated.
+    U(beta) is block-diagonal over the n - n_tilde sectors (see
+    `bogoliubov_unitary`), so each sector block acts on its own slice of
+    the vector.  Only the sectors that data's nonzero entries occupy are
+    exponentiated; the others map zero to zero.  The blocks are real
+    orthogonal, so U^+ applies each block transposed.
     """
     d = cutoff + 1
-    block = _sector_exponential(params.theta, cutoff, 0)
-    vec = np.zeros(d * d, dtype=complex)
-    vec[_pair_sector_indices(cutoff, 0)] = block[:, 0]
-    return FockVector(vec, cutoff, mode_count=2)
+    occupied = np.flatnonzero(data)
+    out = np.zeros(d * d, dtype=complex)
+    for sector in np.unique(occupied % d - occupied // d).tolist():
+        idx = _pair_sector_indices(cutoff, sector)
+        block = _sector_exponential(theta, cutoff, sector)
+        out[idx] = (block.T if inverse else block) @ data[idx]
+    return out
+
+
+def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> FockVector:
+    """U(beta)|0, 0_tilde>: the doubled vacuum lives in the n = n_tilde
+    sector, which the pair generator never leaves, so only that sector's
+    block is exponentiated."""
+    vac = np.zeros((cutoff + 1) ** 2)
+    vac[0] = 1.0
+    return FockVector(_bogoliubov_apply(params.theta, cutoff, vac), cutoff,
+                      mode_count=2)
 
 
 def _apply_original(op: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -461,14 +477,13 @@ def _raise_original(vec: FockVector) -> FockVector:
     return FockVector(out.reshape(-1), vec.cutoff, mode_count=2)
 
 
-def thermal_number_states(params: ThermalParams, cutoff: int,
-                          tail_tol: float = TAIL_TOL_DEFAULT) -> list[FockVector]:
+def thermal_number_states(params: ThermalParams, cutoff: int) -> list[FockVector]:
     """Purified thermal Fock states |0(b)>, |1(b)>, |2(b)>, |4(b)>.
 
     |n(b)> = (a^dagger)^n |0(b)> / (u^n sqrt(n!)) on the doubled space;
     the 1/u^n factors make each state unit norm.
     """
-    validate_cutoff(cutoff, params, tail_tol)
+    validate_cutoff(cutoff, params)
     u = params.u
     v0 = _thermal_vacuum_vector(params, cutoff)
     v1 = _raise_original(v0)
@@ -484,11 +499,10 @@ def thermal_number_states(params: ThermalParams, cutoff: int,
 
 
 def thermal_superposition_state(amps: PhysicalAmplitudes,
-                                params: ThermalParams, cutoff: int,
-                                tail_tol: float = TAIL_TOL_DEFAULT) -> FockVector:
+                                params: ThermalParams, cutoff: int) -> FockVector:
     """|Psi(b)> = x|0(b)> + y|1(b)> + z|2(b)> + w|4(b)> on the doubled space."""
     amps.require_normalized()
-    return _superpose(amps, thermal_number_states(params, cutoff, tail_tol))
+    return _superpose(amps, thermal_number_states(params, cutoff))
 
 
 def _superpose(amps: PhysicalAmplitudes, states: list[FockVector]) -> FockVector:
@@ -519,15 +533,14 @@ def gate_thermalization_residual(gate: FockMatrix, amps_in: PhysicalAmplitudes,
         raise ValueError(f"gate is not unitary: max |U^+U - I| = {unit_dev:.3e}")
     amps_in.require_normalized()
 
-    u_beta = bogoliubov_unitary(params, cutoff)
+    theta = params.theta
     psi_prime = amps_in.as_vector(cutoff)
     vac = np.zeros(cutoff + 1, dtype=complex)
     vac[0] = 1.0
     doubled = np.kron(vac, psi_prime.data)  # |psi', 0_tilde>
 
-    thermalized = u_beta.data @ doubled
-    # U^+ v as (v^* U)^*, without forming the conjugate transpose of U
-    lhs = u_beta.data @ _apply_original(
-        gate.data, (thermalized.conj() @ u_beta.data).conj())
-    rhs = u_beta.data @ _apply_original(gate.data, doubled)
+    thermalized = _bogoliubov_apply(theta, cutoff, doubled)
+    lhs = _bogoliubov_apply(theta, cutoff, _apply_original(
+        gate.data, _bogoliubov_apply(theta, cutoff, thermalized, inverse=True)))
+    rhs = _bogoliubov_apply(theta, cutoff, _apply_original(gate.data, doubled))
     return float(np.linalg.norm(lhs - rhs))

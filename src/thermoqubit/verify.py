@@ -18,10 +18,12 @@ from . import fock, gates, observables, thermal
 
 DEFAULT_N_BARS = (0.0, 0.1, 0.3, 1.0, 10.0)
 GATE_RESIDUAL_N_BARS = (0.0, 0.2, 0.5)
+GATE_RESIDUAL_CUTOFF = 40
 CLOSED_FORM_N_BARS = (0.0, 0.1, 0.3, 1.0)
 # the Wigner checks and the closed-form audit share the default-grid
 # Wigner function of the heated state at this n_bar
 COLD_N_BAR = 0.1
+SEED = 20240817
 
 
 @dataclass
@@ -43,9 +45,9 @@ def _check(name, residual, tolerance=None, n_bar=None, detail="") -> CheckResult
     return CheckResult(name, passed, residual, tolerance, n_bar, detail)
 
 
-def _density_checks(amps, n_bar, tail_tol=1e-10):
+def _density_checks(amps, n_bar):
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
-    cutoff = thermal.auto_cutoff(n_bar, tail_tol)
+    cutoff = thermal.auto_cutoff(n_bar)
     rho_exp = thermal.thermal_state_density_expansion(amps, params, cutoff)
     rho_op = thermal.thermal_state_density_operator(amps, params, cutoff)
     # the purified number states are built once and serve both the
@@ -64,13 +66,13 @@ def _density_checks(amps, n_bar, tail_tol=1e-10):
                for r in (rho_exp, rho_op, rho_red))
     yield _check("density_hermitian", herm, 1e-12, n_bar)
     yield _check("density_trace", abs(rho_exp.trace().real - 1.0),
-                 tail_tol, n_bar)
+                 thermal.TAIL_TOL_DEFAULT, n_bar)
     eigs = np.linalg.eigvalsh(rho_exp.data)
     yield _check("density_positive", max(0.0, -float(eigs.min())), 1e-9, n_bar)
 
+    rho_b = np.diag(thermal.thermal_vacuum_density(params, cutoff).data).real
     if n_bar > 0:
-        diag = np.diag(thermal.thermal_vacuum_density(params, cutoff).data).real
-        violations = int(np.sum(diag[1:] >= diag[:-1]))
+        violations = int(np.sum(rho_b[1:] >= rho_b[:-1]))
         yield _check("thermal_diagonal_strictly_decreasing",
                      violations, 0.0, n_bar,
                      "count of non-decreasing steps in the geometric diagonal")
@@ -83,7 +85,6 @@ def _density_checks(amps, n_bar, tail_tol=1e-10):
     probs = np.abs(m) ** 2
     lhs_n = float(np.sum(probs * occ[None, :]))
     lhs_n2 = float(np.sum(probs * (occ**2)[None, :]))
-    rho_b = np.diag(thermal.thermal_vacuum_density(params, cutoff).data).real
     rhs_n = float(rho_b @ occ)
     rhs_n2 = float(rho_b @ occ**2)
     yield _check("doubled_expectation_number", abs(lhs_n - rhs_n), 1e-9, n_bar)
@@ -157,7 +158,8 @@ def _gate_checks(amps, rng):
                  np.abs(evolved_matrix.data - evolved_map.data).max(), 1e-14)
 
 
-def _gate_thermalization_checks(amps, cutoff=40):
+def _gate_thermalization_checks(amps):
+    cutoff = GATE_RESIDUAL_CUTOFF
     gate = gates.half_period_gate_matrix(cutoff)
     for n_bar in GATE_RESIDUAL_N_BARS:
         params = thermal.ThermalParams.from_mean_occupation(n_bar)
@@ -256,11 +258,10 @@ def _closed_form_audits(amps, cold):
                      tol, n_bar,
                      f"numeric={mandel.value_numeric:.9e} "
                      f"closed={mandel.value_closed_form:.9e}")
-        if n_bar == COLD_N_BAR:  # the same grid the Wigner checks computed
-            cutoff, _, w = cold
-            _, wig = observables._closed_form_audit(amps, params, cutoff, w)
-        else:
-            _, wig = observables.wigner_closed_form(amps, params)
+        # the n_bar = 0.1 grid is the one the Wigner checks computed
+        cutoff, _, w = cold if n_bar == COLD_N_BAR else _heated_wigner(
+            amps, n_bar)
+        _, wig = observables.wigner_closed_form(amps, params, w, cutoff)
         yield _check("wigner_closed_form_audit",
                      wig.params["max_abs_discrepancy"], None, n_bar,
                      f"integral numeric={wig.value_numeric:.9e} "
@@ -268,14 +269,13 @@ def _closed_form_audits(amps, cold):
                      f"L1={wig.params['l1_discrepancy']:.6e}")
 
 
-def run_verification(amps: thermal.PhysicalAmplitudes | None = None,
-                     n_bars=DEFAULT_N_BARS, seed: int = 20240817) -> dict:
+def run_verification(amps: thermal.PhysicalAmplitudes | None = None) -> dict:
     """Run the full check suite; returns a JSON-serializable report."""
     if amps is None:
         amps = thermal.DEFAULT_AMPLITUDES
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     checks: list[CheckResult] = []
-    for n_bar in n_bars:
+    for n_bar in DEFAULT_N_BARS:
         checks.extend(_density_checks(amps, n_bar))
     checks.extend(_gate_checks(amps, rng))
     checks.extend(_gate_thermalization_checks(amps))
@@ -285,7 +285,7 @@ def run_verification(amps: thermal.PhysicalAmplitudes | None = None,
     checks.extend(_closed_form_audits(amps, cold))
     return {
         "all_passed": all(c.passed for c in checks),
-        "n_bars": list(n_bars),
+        "n_bars": list(DEFAULT_N_BARS),
         "checks": [c.as_dict() for c in checks],
         "counts": {
             "total": len(checks),

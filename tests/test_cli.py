@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -12,6 +13,8 @@ import pytest
 from thermoqubit import cli, observables, thermal, verify
 from thermoqubit.observables import GridSpec
 from thermoqubit.thermal import PhysicalAmplitudes
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def read_csv(path):
@@ -232,6 +235,9 @@ LIMIT_CASES = [
     (["wigner-grid", "--nbar", "20"], {}, "n_bar = 20.0"),
     (["sweep-fidelity", "--nbar-range", "0:5:3", "--cutoff", "100"], {},
      "n_bar = 5.0"),
+    # cutoff 150 passes at the default tail tolerance (see below)
+    (["sweep-fidelity", "--nbar-range", "0:5:3", "--cutoff", "150",
+      "--tail-tol", "1e-14"], {}, "n_bar = 5.0"),
     (["wigner-grid", "--nbar", "0.1"], {"GRID_TOL_DEFAULT": 0.0},
      "n_bar = 0.1"),
 ]
@@ -240,7 +246,7 @@ LIMIT_CASES = [
 @pytest.mark.parametrize(
     "argv, patch, message", LIMIT_CASES,
     ids=["cutoff-fidelity", "cutoff-mandel", "cutoff-wigner",
-         "explicit-cutoff", "grid-widening"])
+         "explicit-cutoff", "explicit-cutoff-tail-tol", "grid-widening"])
 def test_numerical_limit_exit_code(tmp_path, capsys, monkeypatch,
                                    argv, patch, message):
     for name, value in patch.items():
@@ -253,6 +259,15 @@ def test_numerical_limit_exit_code(tmp_path, capsys, monkeypatch,
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "numerical limit" in lines[0] and message in lines[0]
+
+
+def test_explicit_cutoff_passes_default_tail_tol(tmp_path):
+    # the same command as the explicit-cutoff-tail-tol limit case, without
+    # --tail-tol: only the tighter tolerance makes cutoff 150 fail
+    out = tmp_path / "fid.csv"
+    assert cli.main(["sweep-fidelity", "--nbar-range", "0:5:3",
+                     "--cutoff", "150", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +410,19 @@ def test_wigner_grid_evaluates_each_grid_once(tmp_path, monkeypatch,
     assert cli.main(["wigner-grid", "--nbar", n_bar,
                      "--out", str(tmp_path / "w.csv")]) == 0
     assert len(calls) == evaluations
+
+
+def test_wigner_grid_audit_has_its_own_span(tmp_path, monkeypatch):
+    # the printed-series audit is a public call, so the benchmark's tracer
+    # times it in its own span, not inside the command's self time
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    recorder = tracer.SpanRecorder()
+    with tracer.traced("thermoqubit", recorder):
+        assert cli.main(["wigner-grid", "--nbar", "1",
+                         "--out", str(tmp_path / "w.csv")]) == 0
+    names = [name for name, *_ in recorder.spans]
+    assert names.count("observables.wigner_closed_form") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from thermoqubit import thermal
 from thermoqubit.errors import CutoffError
 from thermoqubit.fock import (
     FockMatrix,
@@ -17,6 +18,7 @@ from thermoqubit.gates import half_period_gate_matrix
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     _apply_original,
+    _bogoliubov_apply,
     _sector_exponential,
     _sector_generator,
     PhysicalAmplitudes,
@@ -431,6 +433,66 @@ def test_gate_residual_parity_gate():
     gate = half_period_gate_matrix(40)
     res = gate_thermalization_residual(gate, DEFAULT_AMPLITUDES, params_for(0.2), 40)
     assert res < 1e-8
+
+
+def test_bogoliubov_apply_matches_dense_unitary(monkeypatch):
+    # U(beta) v and U^+(beta) v sector by sector, against the dense U(beta),
+    # for |psi', 0_tilde> (sectors 0, 1, 2 and 4 only) and a full vector
+    p = params_for(0.2)
+    cutoff = 16
+    d = cutoff + 1
+    dense = np.asarray(bogoliubov_unitary(p, cutoff).data)
+    sparse = np.zeros(d * d, dtype=complex)
+    sparse[:d] = DEFAULT_AMPLITUDES.as_vector(cutoff).data
+    full = RNG.normal(size=d * d) + 1j * RNG.normal(size=d * d)
+    sectors = []
+    exponential = thermal._sector_exponential
+
+    def counted(theta, cutoff, sector):
+        sectors.append(sector)
+        return exponential(theta, cutoff, sector)
+
+    monkeypatch.setattr(thermal, "_sector_exponential", counted)
+    for vec in (sparse, full):
+        assert np.abs(_bogoliubov_apply(p.theta, cutoff, vec)
+                      - dense @ vec).max() <= 1e-14
+        assert np.abs(_bogoliubov_apply(p.theta, cutoff, vec, inverse=True)
+                      - dense.conj().T @ vec).max() <= 1e-14
+    assert sectors[:8] == [0, 1, 2, 4] * 2
+    assert sorted(sectors[8:]) == sorted(2 * list(range(-cutoff, cutoff + 1)))
+
+
+def dense_gate_residual(gate, amps, params, cutoff):
+    """The gate-thermalization residual through the dense U(beta)."""
+    u = np.asarray(bogoliubov_unitary(params, cutoff).data)
+    doubled = np.zeros((cutoff + 1) ** 2, dtype=complex)
+    doubled[: cutoff + 1] = amps.as_vector(cutoff).data  # |psi', 0_tilde>
+    lhs = u @ _apply_original(gate.data, u.conj().T @ (u @ doubled))
+    rhs = u @ _apply_original(gate.data, doubled)
+    return float(np.linalg.norm(lhs - rhs))
+
+
+@pytest.mark.parametrize("gate_kind", ["parity", "random"])
+def test_gate_residual_sector_wise_matches_dense(monkeypatch, gate_kind):
+    # the random unitary mixes every occupation, so every sector is occupied
+    p = params_for(0.2)
+    cutoff = 20
+    d = cutoff + 1
+    if gate_kind == "parity":
+        gate = half_period_gate_matrix(cutoff)
+    else:
+        q, _ = np.linalg.qr(RNG.normal(size=(d, d))
+                            + 1j * RNG.normal(size=(d, d)))
+        gate = FockMatrix(q, cutoff)
+    dense = dense_gate_residual(gate, DEFAULT_AMPLITUDES, p, cutoff)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle built the dense U(beta)")
+
+    monkeypatch.setattr(thermal, "bogoliubov_unitary", forbidden)
+    res = gate_thermalization_residual(gate, DEFAULT_AMPLITUDES, p, cutoff)
+    assert dense <= 1e-12 and res <= 1e-12
+    assert abs(res - dense) <= 1e-13
 
 
 def test_gate_residual_rejects_nonunitary():

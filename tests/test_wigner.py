@@ -45,6 +45,17 @@ def heated_rho(n_bar, amps=DEFAULT_AMPLITUDES):
         amps, params_for(n_bar), auto_cutoff(n_bar))
 
 
+def closed_form(amps, params, grid=None, cutoff=None):
+    """`wigner_closed_form` on the numeric grid of the heated state: the
+    auto cutoff when none is given, the widened default grid when no grid
+    is."""
+    if cutoff is None:
+        cutoff = auto_cutoff(params.n_bar)
+    rho = thermal_state_density_expansion(amps, params, cutoff)
+    return wigner_closed_form(amps, params, wigner_from_density(rho, grid),
+                              cutoff)
+
+
 def test_vacuum_peak():
     w = wigner_from_density(fock_projector(0), GRID6)
     assert abs(w.values[ORIGIN6, ORIGIN6] - 1.0 / math.pi) < 1e-10
@@ -276,7 +287,7 @@ def test_closed_form_thermal_family_matches_numeric():
     # survives, so the printed series must agree with the numeric kernel
     amps = PhysicalAmplitudes(1, 0, 0, 0)
     params = params_for(0.3)
-    closed, report = wigner_closed_form(amps, params, GRID6, cutoff=60)
+    closed, report = closed_form(amps, params, GRID6, cutoff=60)
     numeric = wigner_from_density(
         thermal_vacuum_density(params, 60), GRID6)
     assert np.abs(closed.values - numeric.values).max() < 1e-8
@@ -318,8 +329,7 @@ def closed_form_by_family(amps, params, spec, cutoff):
 def test_closed_form_matches_per_family_loop(n_bar):
     params = params_for(n_bar)
     cutoff = auto_cutoff(n_bar)
-    closed, report = wigner_closed_form(DEFAULT_AMPLITUDES, params,
-                                        cutoff=cutoff)
+    closed, report = closed_form(DEFAULT_AMPLITUDES, params, cutoff=cutoff)
     spec = GridSpec(*report.params["grid"])
     assert_bit_identical(
         closed.values,
@@ -327,7 +337,7 @@ def test_closed_form_matches_per_family_loop(n_bar):
 
 
 def test_closed_form_grid_negative_region_cold():
-    closed, _ = wigner_closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
+    closed, _ = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
     assert closed.values.min() < 0.0
 
 
@@ -335,11 +345,11 @@ def test_closed_form_requires_real_amplitudes():
     raw = np.array([0.2 + 0.1j, 0.3, 0.6, math.sqrt(0.51 - 0.05)])
     raw /= np.linalg.norm(raw)
     with pytest.raises(ValueError):
-        wigner_closed_form(PhysicalAmplitudes(*raw), params_for(0.1))
+        closed_form(PhysicalAmplitudes(*raw), params_for(0.1))
 
 
 def test_closed_form_discrepancy_reported():
-    closed, report = wigner_closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
+    closed, report = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
     assert report.params["max_abs_discrepancy"] > 0.0
     assert report.params["l1_discrepancy"] > 0.0
     assert report.params["closed_form_scale"] == CLOSED_FORM_WIGNER_SCALE
@@ -348,7 +358,7 @@ def test_closed_form_discrepancy_reported():
 
 
 def test_negativity_fades_with_temperature():
-    cold, _ = wigner_closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
+    cold, _ = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
     numeric_cold = wigner_from_density(heated_rho(0.1))
     numeric_hot = wigner_from_density(heated_rho(10.0))
     assert wigner_negativity(numeric_hot) < wigner_negativity(numeric_cold)
