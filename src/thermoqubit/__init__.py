@@ -27,6 +27,7 @@ from .gates import (
 )
 from .observables import (
     CLOSED_FORM_WIGNER_SCALE,
+    ExactWigner,
     GridSpec,
     ObservableReport,
     WignerGrid,
@@ -38,6 +39,7 @@ from .observables import (
     mandel_columns,
     mandel_numeric,
     wigner_closed_form,
+    wigner_exact,
     wigner_from_density,
     wigner_negativity,
 )
@@ -64,6 +66,7 @@ __all__ = [
     "CLOSED_FORM_WIGNER_SCALE",
     "CutoffError",
     "DEFAULT_AMPLITUDES",
+    "ExactWigner",
     "FockMatrix",
     "FockVector",
     "GridSpec",
@@ -102,6 +105,7 @@ __all__ = [
     "thermal_superposition_state",
     "thermal_vacuum_density",
     "wigner_closed_form",
+    "wigner_exact",
     "wigner_from_density",
     "wigner_negativity",
 ]

@@ -211,14 +211,16 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
     """Wigner function on a phase-space grid for one n_bar, with a JSON
     sidecar of normalization metadata next to the main file.
 
-    The numeric grid is evaluated once (widened as needed) and shared by
-    the w_numeric column and the closed-form audit."""
+    The numeric grid is evaluated once (widened as needed, with the exact
+    route skipping the kernel on the grids it rules out) and shared by the
+    w_numeric column and the closed-form audit."""
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
     cutoff = cfg.resolved_cutoff(n_bar)
     rho = thermal.thermal_state_density_expansion(cfg.amps, params, cutoff)
     try:
-        numeric = observables.wigner_from_density(rho, cfg.grid)
+        numeric = observables.wigner_from_density(
+            rho, cfg.grid, exact=observables.wigner_exact(cfg.amps, params))
     except GridWideningError as exc:
         raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
     closed, report = observables.wigner_closed_form(cfg.amps, params, numeric,

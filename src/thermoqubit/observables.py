@@ -1,11 +1,19 @@
 """Temperature diagnostics: fidelity, Mandel Q and the Wigner function.
 
-Each diagnostic exists twice: a first-principles numeric path computed
-from the density matrix, and the published closed-form series evaluated
-exactly as printed.  The numeric paths are cross-checked against each
-other and act as ground truth; the closed forms are *audited*, never
-trusted, because several of them carry typos.  `ObservableReport` carries
-both values and their discrepancy so the audit is always visible.
+Each diagnostic has a first-principles numeric path computed from the
+density matrix, and the published closed-form series evaluated exactly as
+printed.  The numeric paths are cross-checked against each other and act
+as ground truth; the closed forms are *audited*, never trusted, because
+several of them carry typos.  `ObservableReport` carries both values and
+their discrepancy so the audit is always visible.
+
+The Wigner function has a third, exact route: `wigner_exact` applies the
+Bopp operators of f(a^dagger) to the thermal Gaussian, which gives the
+untruncated heated state's W as a Gaussian times a polynomial of degree 8
+in (q, p), with no cutoff.  Its Riemann sum over a grid is separable and
+costs a small fraction of a kernel pass, so `wigner_from_density` uses it
+to skip the kernel on default-grid candidates the widening would reject;
+every value it returns still comes from the kernel.
 
 The numeric paths read only the entries of rho they need, from the same
 ladder families as `thermal_state_density_expansion`: the fidelity the
@@ -34,15 +42,26 @@ import numpy as np
 from .errors import GridWideningError, MandelUndefinedError
 from .fock import FockMatrix
 from .thermal import (
+    TAIL_TOL_DEFAULT,
     PhysicalAmplitudes,
     ThermalParams,
     _complex_div,
     _density_entries,
     _float_pow,
+    _ladder_coefficients,
     resolve_cutoff,
 )
 
 GRID_TOL_DEFAULT = 1e-6
+# The exact route rules a grid out only when its Riemann sum misses 1 by
+# this much more than GRID_TOL_DEFAULT.  Where the kernel's envelope
+# exp(-q^2 - p^2) is a normal double (q^2 + p^2 <= 708, all of the
+# [-8, 8]^2 and [-16, 16]^2 default grids) the kernel's sum stays within
+# about 1 - trace(rho), at most 1e-10, of the exact one below the cutoff
+# cap.  Past that radius the kernel drops the far field (1.5e-7 of the sum
+# at n_bar = 14.4 on [-32, 32]^2); the default widening reaches it only on
+# its last grid, which is never ruled out.
+_EXACT_SUM_MARGIN = 1e-8
 _TARGET_SIZE = 5  # the target state lives on |0>, |1>, |2>, |4>
 _MEAN_OCCUPATION_EPS = 1e-12  # below this <N> the Mandel Q is undefined
 
@@ -515,7 +534,8 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
     live = np.count_nonzero(envelope)   # a prefix: r2 is sorted
     x_arg = 2.0 * r2[:live]             # = 4 |alpha|^2
     rows_nz, cols_nz = np.nonzero(rho)
-    offsets = np.unique(np.abs(rows_nz - cols_nz)).tolist()
+    # not np.unique, which imports numpy.ma
+    offsets = np.flatnonzero(np.bincount(np.abs(rows_nz - cols_nz))).tolist()
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(dim)])  # log m!
     # coef[j, i, n] for the i-th offset: the real (j = 0) and imaginary
     # (j = 1) parts of rho[n+off, n] * weight_n, then (j = 2, 3) those of
@@ -576,13 +596,22 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 
 def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
-                        widen: bool | None = None) -> WignerGrid:
+                        widen: bool | None = None,
+                        exact: ExactWigner | None = None) -> WignerGrid:
     """Wigner function of a single-mode density matrix on a (q, p) grid.
 
     When no grid is given, the default [-8, 8]^2 / 257^2 grid is used and
     the bounds are doubled (up to [-32, 32]^2) until the Riemann sum of W
     matches trace(rho) within GRID_TOL_DEFAULT; an explicit grid is used
     as-is unless widen=True.
+
+    `exact`, the `wigner_exact` of the untruncated state that rho
+    truncates, lets the widening double a grid without running the kernel
+    on it when the exact Riemann sum there misses 1 by more than
+    GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN.  It is consulted only while
+    1 - trace(rho) <= TAIL_TOL_DEFAULT, and never on the last grid
+    allowed, so the grid returned, its values and any GridWideningError
+    are those of the loop without the hint.
     """
     if rho.mode_count != 1:
         raise ValueError("wigner_from_density expects a single-mode matrix")
@@ -590,17 +619,22 @@ def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
         widen = grid is None
     spec = grid if grid is not None else GridSpec()
     target = float(np.trace(rho.data).real)
+    screen = exact is not None and widen and 1.0 - target <= TAIL_TOL_DEFAULT
     attempts = 0
     while True:
-        values = _wigner_values(np.asarray(rho.data), spec)
-        result = WignerGrid(spec, values)
-        if not widen or abs(result.integral() - target) <= GRID_TOL_DEFAULT:
-            return result
-        if spec.q_max >= 32 or attempts >= 3:
-            raise GridWideningError(
-                f"normalization |integral - trace| = "
-                f"{abs(result.integral() - target):.3e} > {GRID_TOL_DEFAULT} "
-                f"on [{spec.q_min}, {spec.q_max}]^2; no wider grid allowed")
+        last = spec.q_max >= 32 or attempts >= 3
+        ruled_out = (screen and not last and abs(exact.riemann_sum(spec) - 1.0)
+                     > GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN)
+        if not ruled_out:
+            result = WignerGrid(spec, _wigner_values(np.asarray(rho.data), spec))
+            error = abs(result.integral() - target)
+            if not widen or error <= GRID_TOL_DEFAULT:
+                return result
+            if last:
+                raise GridWideningError(
+                    f"normalization |integral - trace| = {error:.3e} > "
+                    f"{GRID_TOL_DEFAULT} on [{spec.q_min}, {spec.q_max}]^2; "
+                    f"no wider grid allowed")
         spec = spec.doubled()
         attempts += 1
 
@@ -608,6 +642,101 @@ def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
 def wigner_negativity(grid: WignerGrid) -> float:
     """Integral of the negative part: sum of max(0, -W) * cell_area."""
     return float(np.maximum(0.0, -grid.values).sum() * grid.cell_area)
+
+
+# ---------------------------------------------------------------------------
+# Wigner function, exact route
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExactWigner:
+    """Wigner function of an untruncated heated state, in closed form:
+
+        W(q, p) = exp(-(q^2 + p^2) / s) / (pi s) * sum_ab coef[a, b] q^a p^b
+
+    with s = 2 n_bar + 1 and a real coefficient array of total degree 8.
+    The Gaussian factors per axis, so W on a grid is a product of three
+    small matrices and its Riemann sum a product of their column sums.
+    """
+
+    s: float
+    coef: np.ndarray
+
+    def __post_init__(self):
+        self.coef.setflags(write=False)
+
+    def _axis_factors(self, axis: np.ndarray) -> np.ndarray:
+        """axis^a exp(-axis^2 / s) for a = 0..degree, one row per point."""
+        with np.errstate(under="ignore"):
+            gauss = np.exp(-axis**2 / self.s)
+        return axis[:, None] ** np.arange(len(self.coef)) * gauss[:, None]
+
+    def values(self, spec: GridSpec) -> np.ndarray:
+        """W(q_i, p_j) on the grid, laid out as `WignerGrid.values`."""
+        q = self._axis_factors(spec.q_axis())
+        p = self._axis_factors(spec.p_axis())
+        return q @ self.coef @ p.T / (math.pi * self.s)
+
+    def riemann_sum(self, spec: GridSpec) -> float:
+        """values(spec).sum() * cell_area, without forming the grid."""
+        q = self._axis_factors(spec.q_axis()).sum(axis=0)
+        p = self._axis_factors(spec.p_axis()).sum(axis=0)
+        return float(q @ self.coef @ p) * spec.cell_area / (math.pi * self.s)
+
+
+def _bopp_step(coef: np.ndarray, s: float, sign: int) -> np.ndarray:
+    """Coefficients of the Bopp image of a^+ rho (sign = -1) or of rho a
+    (sign = +1) of the W = Gaussian * sum coef[a, b] q^a p^b in
+    `ExactWigner`.
+
+    With alpha = (q + i p)/sqrt2, a^+ rho and rho a correspond to
+    (alpha* - d_alpha / 2) W and (alpha - d_alpha* / 2) W (Cahill &
+    Glauber, Phys. Rev. 177, 1882 (1969)).  On the Gaussian
+    exp(-(q^2 + p^2) / s) both become
+    [(1 + 1/s)(q + sign i p) - (d_q + sign i d_p) / 2] / sqrt2 on the
+    polynomial, which raises its degree by one.
+    """
+    lift = 1.0 + 1.0 / s
+    powers = np.arange(len(coef))
+    out = np.zeros_like(coef)
+    out[1:, :] += lift * coef[:-1, :]
+    out[:, 1:] += sign * 1j * lift * coef[:, :-1]
+    out[:-1, :] -= 0.5 * powers[1:, None] * coef[1:, :]
+    out[:, :-1] -= sign * 0.5j * powers[None, 1:] * coef[:, 1:]
+    return out / math.sqrt(2.0)
+
+
+def wigner_exact(amps: PhysicalAmplitudes, params: ThermalParams
+                 ) -> ExactWigner:
+    """Exact, cutoff-free Wigner function of the heated state.
+
+    The heated state is f(a^+) rho_th f(a^+)^+ with f = sum_p c_p a^+p of
+    degree 4 (`thermal_state_density_expansion`) and rho_th the thermal
+    state, whose W is the Gaussian exp(-(q^2 + p^2)/s) / (pi s),
+    s = 2 n_bar + 1.  Each a^+ on the left and each a on the right is a
+    `_bopp_step` on W; the two kinds commute, so
+    W = sum_pq c_p conj(c_q) A^p B^q W_th is a polynomial times that
+    Gaussian, with no truncation.  W is real for the Hermitian state, so
+    the coefficients' imaginary parts are rounding and are dropped.
+    """
+    amps.require_normalized()
+    s = 2.0 * params.n_bar + 1.0
+    c = {p: complex(v[0]) for p, v in
+         _ladder_coefficients(amps, np.array([params.u])).items()}
+    top = max(c)
+    term = np.zeros((2 * top + 1, 2 * top + 1), dtype=complex)
+    term[0, 0] = 1.0
+    right = np.zeros_like(term)  # sum_q conj(c_q) B^q 1
+    for q in range(top + 1):
+        if q in c:
+            right += np.conj(c[q]) * term
+        term = _bopp_step(term, s, +1)
+    total = np.zeros_like(term)  # sum_p c_p A^p (sum_q conj(c_q) B^q 1)
+    for p in range(top + 1):
+        if p in c:
+            total += c[p] * right
+        right = _bopp_step(right, s, -1)
+    return ExactWigner(s, total.real)
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,11 @@ def _density_entries(amps: PhysicalAmplitudes, n_bar: np.ndarray, size: int,
     with np.errstate(under="ignore"):
         geom = k[:, None] * k1[:, None] ** n_all
     roots = {p: _occupation_shift_root(n_all, p) for p in coeffs}
-    rho = np.zeros((len(n_bar), size) if diagonal else (len(n_bar), size, size),
-                   dtype=complex)
+    # a point's diagonal, or its flattened matrix, in which the (n + p, n + q)
+    # entries are the run from p * size + q in steps of size + 1: each
+    # family adds into a strided view
+    flat = np.zeros((len(n_bar), size if diagonal else size * size),
+                    dtype=complex)
     for p in coeffs:
         for q in coeffs:
             length = size - max(p, q)  # keep both |n+p> and <n+q|
@@ -300,12 +303,9 @@ def _density_entries(amps: PhysicalAmplitudes, n_bar: np.ndarray, size: int,
                 continue
             vals = (_mul_conj(coeffs[p], coeffs[q])[:, None] * geom[:, :length]
                     * roots[p][:length] * roots[q][:length])
-            if diagonal:
-                rho[:, p: p + length] += vals
-            else:
-                n = np.arange(length)
-                rho[:, n + p, n + q] += vals
-    return rho
+            start, step = (p, 1) if diagonal else (p * size + q, size + 1)
+            flat[:, start: start + length * step: step] += vals
+    return flat if diagonal else flat.reshape(len(n_bar), size, size)
 
 
 def thermal_state_density_expansion(amps: PhysicalAmplitudes,
@@ -443,7 +443,8 @@ def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
     d = cutoff + 1
     occupied = np.flatnonzero(data)
     out = np.zeros(d * d, dtype=complex)
-    for sector in np.unique(occupied % d - occupied // d).tolist():
+    # a sorted set, not np.unique, which imports numpy.ma
+    for sector in sorted(set((occupied % d - occupied // d).tolist())):
         idx = _pair_sector_indices(cutoff, sector)
         block = _sector_exponential(theta, cutoff, sector)
         out[idx] = (block.T if inverse else block) @ data[idx]

@@ -191,11 +191,13 @@ def _observable_checks(amps, rng):
 
 
 def _heated_wigner(amps, n_bar):
-    """(cutoff, rho, W on the default widened grid) of the heated state."""
+    """(cutoff, rho, W on the default widened grid) of the heated state;
+    the exact route skips the kernel on the grids it rules out."""
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
     cutoff = thermal.auto_cutoff(n_bar)
     rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
-    return cutoff, rho, observables.wigner_from_density(rho)
+    return cutoff, rho, observables.wigner_from_density(
+        rho, exact=observables.wigner_exact(amps, params))
 
 
 def _wigner_checks(amps, cold):

@@ -394,22 +394,50 @@ def test_wigner_grid_json_matches_csv(tmp_path):
     assert len(records) == 9 * 7
 
 
-@pytest.mark.parametrize("n_bar, evaluations", [("0.1", 1), ("1", 2), ("10", 3)])
-def test_wigner_grid_evaluates_each_grid_once(tmp_path, monkeypatch,
-                                              n_bar, evaluations):
-    # the default grid widens 0, 1 and 2 times at these n_bar; nothing
-    # beyond the widening is evaluated again
-    calls = []
+def counted_kernel(monkeypatch) -> list:
+    """The grids `observables._wigner_values` is run on from now on."""
+    grids = []
     kernel = observables._wigner_values
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(rho, spec):
+        grids.append(spec)
+        return kernel(rho, spec)
 
     monkeypatch.setattr(observables, "_wigner_values", counted)
-    assert cli.main(["wigner-grid", "--nbar", n_bar,
-                     "--out", str(tmp_path / "w.csv")]) == 0
-    assert len(calls) == evaluations
+    return grids
+
+
+@pytest.mark.parametrize("n_bar, evaluations", [("0.1", 1), ("1", 1), ("10", 1)])
+def test_wigner_grid_evaluates_each_grid_once(tmp_path, monkeypatch,
+                                              n_bar, evaluations):
+    # the default grid widens 0, 1 and 2 times at these n_bar; the exact
+    # route rules out the grids the widening rejects, so the kernel runs
+    # only on the grid that is kept
+    grids = counted_kernel(monkeypatch)
+    out = tmp_path / "w.csv"
+    assert cli.main(["wigner-grid", "--nbar", n_bar, "--out", str(out)]) == 0
+    assert len(grids) == evaluations
+    kept = json.loads(Path(str(out) + ".meta.json").read_text())["grid"]
+    assert kept["q_max"] == grids[-1].q_max == {"0.1": 8, "1": 16, "10": 32}[n_bar]
+
+
+@pytest.mark.parametrize("cutoff, evaluations", [(None, 1), ("266", 3)])
+def test_wigner_grid_loose_truncation_evaluates_every_grid(
+        tmp_path, monkeypatch, cutoff, evaluations):
+    # at cutoff 266 (the smallest that passes the geometric tail check at
+    # n_bar = 10, against 359 from auto_cutoff) 1 - trace(rho) is 1.1e-7,
+    # so the kernel's sum no longer tracks the exact route's: every grid is
+    # evaluated, and the output is that of the loop without the hint
+    argv = ["wigner-grid", "--nbar", "10"] + (
+        ["--cutoff", cutoff] if cutoff else [])
+    grids = counted_kernel(monkeypatch)
+    assert cli.main(argv + ["--out", str(tmp_path / "hint.csv")]) == 0
+    assert [g.q_max for g in grids] == [8, 16, 32][-evaluations:]
+    monkeypatch.setattr(observables, "wigner_exact", lambda amps, params: None)
+    assert cli.main(argv + ["--out", str(tmp_path / "kernel.csv")]) == 0
+    for suffix in (".csv", ".csv.meta.json"):
+        assert ((tmp_path / f"hint{suffix}").read_bytes()
+                == (tmp_path / f"kernel{suffix}").read_bytes())
 
 
 def test_wigner_grid_audit_has_its_own_span(tmp_path, monkeypatch):
@@ -503,12 +531,14 @@ for argv in (["sweep-fidelity", "--nbar-range", "0:14:5"],
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(cli.main(["verify", "--out", out]))
 print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
 def test_scipy_stays_off_the_command_path(tmp_path):
     # a fresh process, since the tests themselves import scipy; no
-    # command, verify included, loads any scipy module
+    # command, verify included, loads any scipy module, nor numpy.ma
+    # (which a bare np.unique imports, at about 11 ms)
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -517,4 +547,4 @@ def test_scipy_stays_off_the_command_path(tmp_path):
         [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0", "False"]
+    assert proc.stdout.splitlines() == ["[]", "0", "False", "[]"]

@@ -3,7 +3,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thermoqubit import observables
 from thermoqubit.errors import GridWideningError
 from thermoqubit.fock import FockMatrix
 from thermoqubit.observables import (
@@ -13,6 +16,7 @@ from thermoqubit.observables import (
     _wigner_values,
     laguerre_assoc,
     wigner_closed_form,
+    wigner_exact,
     wigner_from_density,
     wigner_negativity,
 )
@@ -364,3 +368,89 @@ def test_negativity_fades_with_temperature():
     assert wigner_negativity(numeric_hot) < wigner_negativity(numeric_cold)
     # the closed-form grid at the same temperature shows negativity too
     assert wigner_negativity(cold) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# exact route
+# ---------------------------------------------------------------------------
+
+@st.composite
+def amplitude_sets(draw):
+    """Normalized amplitudes, real or complex."""
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8,
+                                   max_size=8)))
+    raw = parts[0::2] + (1j * parts[1::2] if draw(st.booleans()) else 0.0)
+    norm = np.linalg.norm(raw)
+    if norm < 1e-3:
+        raw, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    return PhysicalAmplitudes(*(raw / norm))
+
+
+def kernel_envelope_normal(spec):
+    """The grid points where the kernel's envelope exp(-q^2 - p^2) is a
+    normal double: all of [-16, 16]^2, within q^2 + p^2 <= 708 beyond it
+    (see test_kernel_far_field_at_high_n_bar)."""
+    qg, pg, _, _ = spec._radial
+    with np.errstate(under="ignore"):
+        return np.exp(-(qg**2 + pg**2)) >= np.finfo(float).tiny
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(amps=amplitude_sets(), n_bar=st.floats(0.0, 14.0))
+def test_exact_route_matches_kernel(amps, n_bar):
+    # the cutoff-free route agrees with the kernel on each default-grid
+    # candidate to the kernel's truncation, and as a hint it leaves the
+    # widened grid unchanged, bit for bit
+    params = params_for(n_bar)
+    rho = thermal_state_density_expansion(amps, params, auto_cutoff(n_bar))
+    exact = wigner_exact(amps, params)
+    for spec in DEFAULT_GRIDS:
+        kernel = _wigner_values(rho.data, spec)
+        values = exact.values(spec)
+        normal = kernel_envelope_normal(spec)
+        assert normal.all() or spec.q_max == 32
+        diff = (values - kernel)[normal]
+        assert np.abs(diff).max() <= 1e-9 * np.abs(kernel).max()
+        assert abs(diff.sum() * spec.cell_area) <= 1e-9
+        assert exact.riemann_sum(spec) == pytest.approx(
+            values.sum() * spec.cell_area, rel=0, abs=1e-13)
+    hinted = wigner_from_density(rho, exact=exact)
+    plain = wigner_from_density(rho)
+    assert hinted.spec == plain.spec
+    assert hinted.values.tobytes() == plain.values.tobytes()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the kernel's envelope exp(-q^2 - p^2) leaves the normal doubles at "
+    "q^2 + p^2 = 708, and the kernel's W there is 0 or loses its bits, "
+    "while at n_bar = 14 the state's W is still 1e-7 of its peak"))
+def test_kernel_far_field_at_high_n_bar():
+    params = params_for(14.0)
+    spec = DEFAULT_GRIDS[2]
+    kernel = _wigner_values(heated_rho(14.0).data, spec)
+    values = wigner_exact(DEFAULT_AMPLITUDES, params).values(spec)
+    assert np.abs(values - kernel).max() <= 1e-9 * np.abs(kernel).max()
+
+
+@pytest.mark.parametrize("n_bar, grid, kernel_grids", [
+    (1.0, GridSpec(-2, 2, -2, 2, 9, 9), [16]),    # last after 3 doublings
+    (0.1, GridSpec(-33, 33, -33, 33, 5, 5), [33]),  # last at once: q_max >= 32
+], ids=["attempts", "q-max"])
+def test_hint_keeps_widening_error(monkeypatch, n_bar, grid, kernel_grids):
+    # the last grid allowed always gets a kernel pass, so the error (whose
+    # text carries the kernel's sum) reads the same with and without the
+    # hint; the grids before it are ruled out by the exact route alone
+    rho = heated_rho(n_bar)
+    hint = wigner_exact(DEFAULT_AMPLITUDES, params_for(n_bar))
+    messages, evaluated = [], []
+    kernel = observables._wigner_values
+    monkeypatch.setattr(observables, "_wigner_values", lambda r, spec: (
+        evaluated.append(spec.q_max), kernel(r, spec))[1])
+    for exact in (None, hint):
+        evaluated.clear()
+        with pytest.raises(GridWideningError) as err:
+            wigner_from_density(rho, grid, widen=True, exact=exact)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert f"on [{-kernel_grids[-1]}, {kernel_grids[-1]}]^2" in messages[1]
+    assert evaluated == kernel_grids
