@@ -422,8 +422,8 @@ def test_exact_route_matches_kernel(amps, n_bar):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the kernel's envelope exp(-q^2 - p^2) leaves the normal doubles at "
-    "q^2 + p^2 = 708, and the kernel's W there is 0 or loses its bits, "
-    "while at n_bar = 14 the state's W is still 1e-7 of its peak"))
+    "q^2 + p^2 = 708; past it the kernel's W is 0 or loses its bits, and "
+    "at n_bar = 14 that misses 1.6e-7 of max|W|"))
 def test_kernel_far_field_at_high_n_bar():
     params = params_for(14.0)
     spec = DEFAULT_GRIDS[2]
@@ -432,11 +432,11 @@ def test_kernel_far_field_at_high_n_bar():
     assert np.abs(values - kernel).max() <= 1e-9 * np.abs(kernel).max()
 
 
-@pytest.mark.parametrize("n_bar, grid, kernel_grids", [
-    (1.0, GridSpec(-2, 2, -2, 2, 9, 9), [16]),    # last after 3 doublings
-    (0.1, GridSpec(-33, 33, -33, 33, 5, 5), [33]),  # last at once: q_max >= 32
+@pytest.mark.parametrize("n_bar, grid, last_q", [
+    (1.0, GridSpec(-2, 2, -2, 2, 9, 9), 16),      # last after 3 doublings
+    (0.1, GridSpec(-33, 33, -33, 33, 5, 5), 33),  # last at once: q_max >= 32
 ], ids=["attempts", "q-max"])
-def test_hint_keeps_widening_error(monkeypatch, n_bar, grid, kernel_grids):
+def test_hint_keeps_widening_error(monkeypatch, n_bar, grid, last_q):
     # the last grid allowed always gets a kernel pass, so the error (whose
     # text carries the kernel's sum) reads the same with and without the
     # hint; the grids before it are ruled out by the exact route alone
@@ -444,13 +444,17 @@ def test_hint_keeps_widening_error(monkeypatch, n_bar, grid, kernel_grids):
     hint = wigner_exact(DEFAULT_AMPLITUDES, params_for(n_bar))
     messages, evaluated = [], []
     kernel = observables._wigner_values
-    monkeypatch.setattr(observables, "_wigner_values", lambda r, spec: (
-        evaluated.append(spec.q_max), kernel(r, spec))[1])
+
+    def counted(r, spec):
+        evaluated.append(spec.q_max)
+        return kernel(r, spec)
+
+    monkeypatch.setattr(observables, "_wigner_values", counted)
     for exact in (None, hint):
         evaluated.clear()
         with pytest.raises(GridWideningError) as err:
             wigner_from_density(rho, grid, widen=True, exact=exact)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert f"on [{-kernel_grids[-1]}, {kernel_grids[-1]}]^2" in messages[1]
-    assert evaluated == kernel_grids
+    assert f"on [{-last_q}, {last_q}]^2" in messages[1]
+    assert evaluated == [last_q]
