@@ -20,9 +20,8 @@ from thermoqubit import (
     DEFAULT_AMPLITUDES,
     ThermalParams,
     auto_cutoff,
-    thermal_state_density_expansion,
+    heated_wigner,
     wigner_closed_form,
-    wigner_from_density,
     wigner_negativity,
 )
 
@@ -52,8 +51,7 @@ results = {}
 for label, n_bar in (("cold", 0.1), ("hot", 10.0)):
     params = ThermalParams.from_mean_occupation(n_bar)
     cutoff = auto_cutoff(n_bar)
-    rho = thermal_state_density_expansion(DEFAULT_AMPLITUDES, params, cutoff)
-    numeric = wigner_from_density(rho)
+    _, numeric = heated_wigner(DEFAULT_AMPLITUDES, params, cutoff)
     closed, audit = wigner_closed_form(DEFAULT_AMPLITUDES, params, numeric,
                                        cutoff)
     results[label] = (n_bar, numeric, closed, audit)

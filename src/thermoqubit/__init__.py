@@ -34,6 +34,7 @@ from .observables import (
     fidelity_closed_form,
     fidelity_columns,
     fidelity_numeric,
+    heated_wigner,
     laguerre_assoc,
     mandel_closed_form,
     mandel_columns,
@@ -91,6 +92,7 @@ __all__ = [
     "gate_thermalization_residual",
     "half_period_gate_matrix",
     "identity",
+    "heated_wigner",
     "laguerre_assoc",
     "mandel_closed_form",
     "mandel_columns",

@@ -59,6 +59,8 @@ class SweepConfig:
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         norm = self.amps.norm()
+        if not math.isfinite(norm):
+            raise ValueError(f"amplitudes must be finite, got norm {norm}")
         if abs(norm - 1.0) > 1e-6:
             warnings.warn(f"amplitudes renormalized (norm was {norm:.8f})")
         if abs(norm - 1.0) > 1e-15:
@@ -211,16 +213,14 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
     """Wigner function on a phase-space grid for one n_bar, with a JSON
     sidecar of normalization metadata next to the main file.
 
-    The numeric grid is evaluated once (widened as needed, with the exact
-    route skipping the kernel on the grids it rules out) and shared by the
-    w_numeric column and the closed-form audit."""
+    The numeric grid is evaluated once (`observables.heated_wigner`) and
+    shared by the w_numeric column and the closed-form audit."""
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
     cutoff = cfg.resolved_cutoff(n_bar)
-    rho = thermal.thermal_state_density_expansion(cfg.amps, params, cutoff)
     try:
-        numeric = observables.wigner_from_density(
-            rho, cfg.grid, exact=observables.wigner_exact(cfg.amps, params))
+        _, numeric = observables.heated_wigner(cfg.amps, params, cutoff,
+                                               cfg.grid)
     except GridWideningError as exc:
         raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
     closed, report = observables.wigner_closed_form(cfg.amps, params, numeric,
@@ -310,9 +310,12 @@ def _parse_grid(text: str) -> observables.GridSpec:
         p_min, p_max, npts = p_part.split(":")
     except ValueError:
         raise ValueError("--grid expects qmin:qmax:nq,pmin:pmax:np")
-    return observables.GridSpec(float(q_min), float(q_max),
-                                float(p_min), float(p_max),
-                                int(nq), int(npts))
+    try:
+        return observables.GridSpec(float(q_min), float(q_max),
+                                    float(p_min), float(p_max),
+                                    int(nq), int(npts))
+    except ValueError as exc:  # names the bad bound or point count
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
 def _parse_cutoff(text: str):

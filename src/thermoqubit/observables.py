@@ -11,9 +11,9 @@ The Wigner function has a third, exact route: `wigner_exact` applies the
 Bopp operators of f(a^dagger) to the thermal Gaussian, which gives the
 untruncated heated state's W as a Gaussian times a polynomial of degree 8
 in (q, p), with no cutoff.  Its Riemann sum over a grid is separable and
-costs a small fraction of a kernel pass, so `wigner_from_density` uses it
-to skip the kernel on default-grid candidates the widening would reject;
-every value it returns still comes from the kernel.
+costs a small fraction of a kernel pass, so `heated_wigner` uses it to
+start the widening on the first default grid the kernel would accept; every
+value it returns still comes from the kernel.
 
 The numeric paths read only the entries of rho they need, from the same
 ladder families as `thermal_state_density_expansion`: the fidelity the
@@ -50,6 +50,7 @@ from .thermal import (
     _float_pow,
     _ladder_coefficients,
     resolve_cutoff,
+    thermal_state_density_expansion,
 )
 
 GRID_TOL_DEFAULT = 1e-6
@@ -59,8 +60,8 @@ GRID_TOL_DEFAULT = 1e-6
 # [-8, 8]^2 and [-16, 16]^2 default grids) the kernel's sum stays within
 # about 1 - trace(rho), at most 1e-10, of the exact one below the cutoff
 # cap.  Past that radius the kernel drops the far field (1.5e-7 of the sum
-# at n_bar = 14.4 on [-32, 32]^2); the default widening reaches it only on
-# its last grid, which is never ruled out.
+# at n_bar = 14.4 on [-32, 32]^2); `heated_wigner` reaches it only on its
+# last grid, which it never rules out.
 _EXACT_SUM_MARGIN = 1e-8
 _TARGET_SIZE = 5  # the target state lives on |0>, |1>, |2>, |4>
 _MEAN_OCCUPATION_EPS = 1e-12  # below this <N> the Mandel Q is undefined
@@ -85,6 +86,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nq < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if not all(map(math.isfinite,
+                       (self.q_min, self.q_max, self.p_min, self.p_max))):
+            raise ValueError("grid bounds must be finite")
         if not (self.q_max > self.q_min and self.p_max > self.p_min):
             raise ValueError("grid bounds must be increasing")
 
@@ -596,22 +600,13 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 
 def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
-                        widen: bool | None = None,
-                        exact: ExactWigner | None = None) -> WignerGrid:
+                        widen: bool | None = None) -> WignerGrid:
     """Wigner function of a single-mode density matrix on a (q, p) grid.
 
     When no grid is given, the default [-8, 8]^2 / 257^2 grid is used and
     the bounds are doubled (up to [-32, 32]^2) until the Riemann sum of W
     matches trace(rho) within GRID_TOL_DEFAULT; an explicit grid is used
     as-is unless widen=True.
-
-    `exact`, the `wigner_exact` of the untruncated state that rho
-    truncates, lets the widening double a grid without running the kernel
-    on it when the exact Riemann sum there misses 1 by more than
-    GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN.  It is consulted only while
-    1 - trace(rho) <= TAIL_TOL_DEFAULT, and never on the last grid
-    allowed, so the grid returned, its values and any GridWideningError
-    are those of the loop without the hint.
     """
     if rho.mode_count != 1:
         raise ValueError("wigner_from_density expects a single-mode matrix")
@@ -619,22 +614,17 @@ def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
         widen = grid is None
     spec = grid if grid is not None else GridSpec()
     target = float(np.trace(rho.data).real)
-    screen = exact is not None and widen and 1.0 - target <= TAIL_TOL_DEFAULT
     attempts = 0
     while True:
-        last = spec.q_max >= 32 or attempts >= 3
-        ruled_out = (screen and not last and abs(exact.riemann_sum(spec) - 1.0)
-                     > GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN)
-        if not ruled_out:
-            result = WignerGrid(spec, _wigner_values(np.asarray(rho.data), spec))
-            error = abs(result.integral() - target)
-            if not widen or error <= GRID_TOL_DEFAULT:
-                return result
-            if last:
-                raise GridWideningError(
-                    f"normalization |integral - trace| = {error:.3e} > "
-                    f"{GRID_TOL_DEFAULT} on [{spec.q_min}, {spec.q_max}]^2; "
-                    f"no wider grid allowed")
+        result = WignerGrid(spec, _wigner_values(np.asarray(rho.data), spec))
+        error = abs(result.integral() - target)
+        if not widen or error <= GRID_TOL_DEFAULT:
+            return result
+        if spec.q_max >= 32 or attempts >= 3:
+            raise GridWideningError(
+                f"normalization |integral - trace| = {error:.3e} > "
+                f"{GRID_TOL_DEFAULT} on [{spec.q_min}, {spec.q_max}]^2; "
+                f"no wider grid allowed")
         spec = spec.doubled()
         attempts += 1
 
@@ -737,6 +727,24 @@ def wigner_exact(amps: PhysicalAmplitudes, params: ThermalParams
             total += c[p] * right
         right = _bopp_step(right, s, -1)
     return ExactWigner(s, total.real)
+
+
+def heated_wigner(amps: PhysicalAmplitudes, params: ThermalParams,
+                  cutoff: int, grid: GridSpec | None = None
+                  ) -> tuple[FockMatrix, WignerGrid]:
+    """The heated state's rho at this cutoff and its Wigner function on
+    `grid`, or widened from the first default grid whose exact Riemann sum
+    (`wigner_exact`) is within GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN of 1,
+    else [-32, 32]^2; from [-8, 8]^2 if 1 - trace(rho) > TAIL_TOL_DEFAULT.
+    """
+    rho = thermal_state_density_expansion(amps, params, cutoff)
+    start = GridSpec() if grid is None else grid
+    if grid is None and 1.0 - np.trace(rho.data).real <= TAIL_TOL_DEFAULT:
+        exact = wigner_exact(amps, params)
+        while (start.q_max < 32 and abs(exact.riemann_sum(start) - 1.0)
+               > GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN):
+            start = start.doubled()
+    return rho, wigner_from_density(rho, start, widen=grid is None)
 
 
 # ---------------------------------------------------------------------------

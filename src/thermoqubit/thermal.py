@@ -108,7 +108,7 @@ class PhysicalAmplitudes:
                          + abs(self.z) ** 2 + abs(self.w) ** 2)
 
     def require_normalized(self):
-        if abs(self.norm() - 1.0) > _AMPLITUDE_TOL:
+        if not abs(self.norm() - 1.0) <= _AMPLITUDE_TOL:  # also rejects NaN
             raise ValueError(f"amplitudes not normalized: |norm-1| = "
                              f"{abs(self.norm() - 1.0):.3e}")
 

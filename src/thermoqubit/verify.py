@@ -19,10 +19,10 @@ from . import fock, gates, observables, thermal
 DEFAULT_N_BARS = (0.0, 0.1, 0.3, 1.0, 10.0)
 GATE_RESIDUAL_N_BARS = (0.0, 0.2, 0.5)
 GATE_RESIDUAL_CUTOFF = 40
+# each n_bar below is one of DEFAULT_N_BARS, whose heated state (rho and
+# its default-grid Wigner function) is built once
 CLOSED_FORM_N_BARS = (0.0, 0.1, 0.3, 1.0)
-# the Wigner checks and the closed-form audit share the default-grid
-# Wigner function of the heated state at this n_bar
-COLD_N_BAR = 0.1
+WIGNER_N_BARS = (0.1, 10.0)  # cold, hot
 SEED = 20240817
 
 
@@ -45,10 +45,8 @@ def _check(name, residual, tolerance=None, n_bar=None, detail="") -> CheckResult
     return CheckResult(name, passed, residual, tolerance, n_bar, detail)
 
 
-def _density_checks(amps, n_bar):
-    params = thermal.ThermalParams.from_mean_occupation(n_bar)
-    cutoff = thermal.auto_cutoff(n_bar)
-    rho_exp = thermal.thermal_state_density_expansion(amps, params, cutoff)
+def _density_checks(amps, params, cutoff, rho_exp):
+    n_bar = params.n_bar
     rho_op = thermal.thermal_state_density_operator(amps, params, cutoff)
     # the purified number states are built once and serve both the
     # superposition and the doubled-vacuum identities below
@@ -190,17 +188,25 @@ def _observable_checks(amps, rng):
                  detail="Q equals n_bar for the bare thermal state")
 
 
-def _heated_wigner(amps, n_bar):
-    """(cutoff, rho, W on the default widened grid) of the heated state;
-    the exact route skips the kernel on the grids it rules out."""
-    params = thermal.ThermalParams.from_mean_occupation(n_bar)
-    cutoff = thermal.auto_cutoff(n_bar)
-    rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
-    return cutoff, rho, observables.wigner_from_density(
-        rho, exact=observables.wigner_exact(amps, params))
+def _heated_wigner_checks(n_bar, cutoff, rho, w):
+    yield _check("wigner_normalization", abs(w.integral() - 1.0),
+                 1e-6, n_bar, f"grid [{w.spec.q_min}, {w.spec.q_max}]^2")
+    parity = float(np.sum((-1.0) ** np.arange(cutoff + 1)
+                          * np.diag(rho.data).real)) / math.pi
+    origin = w.values[w.spec.nq // 2, w.spec.np // 2]
+    yield _check("wigner_parity_at_origin", abs(origin - parity), 1e-10, n_bar)
 
 
-def _wigner_checks(amps, cold):
+def _wigner_audit(amps, params, w, cutoff):
+    _, wig = observables.wigner_closed_form(amps, params, w, cutoff)
+    return _check("wigner_closed_form_audit",
+                  wig.params["max_abs_discrepancy"], None, params.n_bar,
+                  f"integral numeric={wig.value_numeric:.9e} "
+                  f"closed={wig.value_closed_form:.9e}, "
+                  f"L1={wig.params['l1_discrepancy']:.6e}")
+
+
+def _wigner_checks(heated_checks, cold_neg, hot):
     grid_small = observables.GridSpec(-6, 6, -6, 6, 201, 201)
     vac = np.zeros((9, 9), dtype=complex)
     vac[0, 0] = 1.0
@@ -223,21 +229,7 @@ def _wigner_checks(amps, cold):
     lin = np.abs(w_mix.values - (0.3 * w_vac.values + 0.7 * w_one.values)).max()
     yield _check("wigner_linearity", lin, 1e-12)
 
-    negativities = {}
-    for n_bar in (COLD_N_BAR, 10.0):
-        cutoff, rho, w = cold if n_bar == COLD_N_BAR else _heated_wigner(
-            amps, n_bar)
-        yield _check("wigner_normalization", abs(w.integral() - 1.0),
-                     1e-6, n_bar, f"grid [{w.spec.q_min}, {w.spec.q_max}]^2")
-        parity = float(np.sum((-1.0) ** np.arange(cutoff + 1)
-                              * np.diag(rho.data).real)) / math.pi
-        iq = w.spec.nq // 2
-        ip = w.spec.np // 2
-        yield _check("wigner_parity_at_origin",
-                     abs(w.values[iq, ip] - parity), 1e-10, n_bar)
-        negativities[n_bar] = observables.wigner_negativity(w)
-
-    hot, cold_neg = negativities[10.0], negativities[COLD_N_BAR]
+    yield from heated_checks
     yield _check("wigner_negativity_ordering",
                  0.0 if hot < cold_neg else hot - cold_neg, 0.0,
                  detail=f"neg(0.1)={cold_neg:.6e}, neg(10)={hot:.6e}")
@@ -246,8 +238,9 @@ def _wigner_checks(amps, cold):
                  detail="hot/cold negativity ratio must stay below 10%")
 
 
-def _closed_form_audits(amps, cold):
-    for n_bar in CLOSED_FORM_N_BARS:
+def _closed_form_audits(amps, wigner_audits):
+    for n_bar, wigner_audit in zip(CLOSED_FORM_N_BARS, wigner_audits,
+                                    strict=True):
         params = thermal.ThermalParams.from_mean_occupation(n_bar)
         fid = observables.fidelity_closed_form(amps, params)
         yield _check("fidelity_closed_form_audit", fid.abs_discrepancy,
@@ -260,15 +253,7 @@ def _closed_form_audits(amps, cold):
                      tol, n_bar,
                      f"numeric={mandel.value_numeric:.9e} "
                      f"closed={mandel.value_closed_form:.9e}")
-        # the n_bar = 0.1 grid is the one the Wigner checks computed
-        cutoff, _, w = cold if n_bar == COLD_N_BAR else _heated_wigner(
-            amps, n_bar)
-        _, wig = observables.wigner_closed_form(amps, params, w, cutoff)
-        yield _check("wigner_closed_form_audit",
-                     wig.params["max_abs_discrepancy"], None, n_bar,
-                     f"integral numeric={wig.value_numeric:.9e} "
-                     f"closed={wig.value_closed_form:.9e}, "
-                     f"L1={wig.params['l1_discrepancy']:.6e}")
+        yield wigner_audit
 
 
 def run_verification(amps: thermal.PhysicalAmplitudes | None = None) -> dict:
@@ -276,15 +261,25 @@ def run_verification(amps: thermal.PhysicalAmplitudes | None = None) -> dict:
     if amps is None:
         amps = thermal.DEFAULT_AMPLITUDES
     rng = np.random.default_rng(SEED)
-    checks: list[CheckResult] = []
+    # each heated state is built once; the checks that read its Wigner grid
+    # run first and keep only their results, so one grid is alive at a time
+    checks, heated_checks, negativities, wigner_audits = [], [], [], []
     for n_bar in DEFAULT_N_BARS:
-        checks.extend(_density_checks(amps, n_bar))
+        params = thermal.ThermalParams.from_mean_occupation(n_bar)
+        cutoff = thermal.auto_cutoff(n_bar)
+        rho, w = observables.heated_wigner(amps, params, cutoff)
+        if n_bar in WIGNER_N_BARS:
+            heated_checks.extend(_heated_wigner_checks(n_bar, cutoff, rho, w))
+            negativities.append(observables.wigner_negativity(w))
+        if n_bar in CLOSED_FORM_N_BARS:
+            wigner_audits.append(_wigner_audit(amps, params, w, cutoff))
+        del w
+        checks.extend(_density_checks(amps, params, cutoff, rho))
     checks.extend(_gate_checks(amps, rng))
     checks.extend(_gate_thermalization_checks(amps))
     checks.extend(_observable_checks(amps, rng))
-    cold = _heated_wigner(amps, COLD_N_BAR)
-    checks.extend(_wigner_checks(amps, cold))
-    checks.extend(_closed_form_audits(amps, cold))
+    checks.extend(_wigner_checks(heated_checks, *negativities))
+    checks.extend(_closed_form_audits(amps, wigner_audits))
     return {
         "all_passed": all(c.passed for c in checks),
         "n_bars": list(DEFAULT_N_BARS),

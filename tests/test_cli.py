@@ -138,6 +138,8 @@ TAIL_TOL_ERROR = "tail_tol must be in (0, 1e-10]"
 CUTOFF_ERROR = "cutoff must be 'auto' or an integer in [8, 512]"
 STEPS_ERROR = "n_bar range needs an integer of at least 2 steps"
 REAL_AMPS_ERROR = "needs real amplitudes"
+AMPS_ERROR = "amplitudes must be finite"
+GRID_ERROR = "grid bounds must be finite"
 COMPLEX_AMPS = "--amps=0.1,0.2,0.3,0.4,0.5,-0.2,0.1,0.6"
 BAD_ARGV = [
     (["wigner-grid", "--nbar", "nan"], NBAR_ERROR),
@@ -162,6 +164,10 @@ BAD_ARGV = [
     # the closed-form Wigner series is printed for real amplitudes only
     (["wigner-grid", "--nbar", "1", COMPLEX_AMPS], REAL_AMPS_ERROR),
     (["verify", COMPLEX_AMPS], REAL_AMPS_ERROR),
+    (["sweep-fidelity", "--amps", "nan,0,0,0"], AMPS_ERROR),
+    (["sweep-fidelity", "--amps", "inf,0,0,0"], AMPS_ERROR),
+    (["sweep-mandel", "--amps", "1,nan,0,0"], AMPS_ERROR),
+    (["wigner-grid", "--nbar", "0.1", "--grid=-inf:inf:3,-1:1:3"], GRID_ERROR),
 ]
 
 
@@ -213,7 +219,8 @@ def test_complex_amps_still_sweep(tmp_path):
     ("tail_tol=1e-3", TAIL_TOL_ERROR),
     ("cutoff=4", CUTOFF_ERROR),
     ("nbar_range=0:1:1", STEPS_ERROR),
-], ids=["tail_tol", "cutoff", "nbar_range"])
+    ("amps=nan,0,0,0", AMPS_ERROR),
+], ids=["tail_tol", "cutoff", "nbar_range", "amps"])
 def test_bad_config_value_rejected(tmp_path, capsys, line, message):
     conf = tmp_path / "run.conf"
     conf.write_text(line + "\n")
@@ -427,13 +434,18 @@ def test_wigner_grid_loose_truncation_evaluates_every_grid(
     # at cutoff 266 (the smallest that passes the geometric tail check at
     # n_bar = 10, against 359 from auto_cutoff) 1 - trace(rho) is 1.1e-7,
     # so the kernel's sum no longer tracks the exact route's: every grid is
-    # evaluated, and the output is that of the loop without the hint
+    # evaluated; either way the output is that of the plain kernel loop
     argv = ["wigner-grid", "--nbar", "10"] + (
         ["--cutoff", cutoff] if cutoff else [])
     grids = counted_kernel(monkeypatch)
     assert cli.main(argv + ["--out", str(tmp_path / "hint.csv")]) == 0
     assert [g.q_max for g in grids] == [8, 16, 32][-evaluations:]
-    monkeypatch.setattr(observables, "wigner_exact", lambda amps, params: None)
+
+    def kernel_only(amps, params, cutoff, grid=None):
+        rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
+        return rho, observables.wigner_from_density(rho, grid)
+
+    monkeypatch.setattr(observables, "heated_wigner", kernel_only)
     assert cli.main(argv + ["--out", str(tmp_path / "kernel.csv")]) == 0
     for suffix in (".csv", ".csv.meta.json"):
         assert ((tmp_path / f"hint{suffix}").read_bytes()
@@ -451,6 +463,23 @@ def test_wigner_grid_audit_has_its_own_span(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "w.csv")]) == 0
     names = [name for name, *_ in recorder.spans]
     assert names.count("observables.wigner_closed_form") == 1
+
+
+def test_traced_wigner_grid_evals_count_kernel_passes(tmp_path, monkeypatch):
+    # the benchmark's tracer infers kernel passes from the grid a
+    # wigner_from_density call starts on and the one it returns; the exact
+    # route picks the start grid outside that call, so the inferred count
+    # is the kernel's own
+    grids = counted_kernel(monkeypatch)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    recorder = tracer.SpanRecorder()
+    with tracer.traced("thermoqubit", recorder):
+        assert cli.main(["wigner-grid", "--nbar", "10",
+                         "--out", str(tmp_path / "w.csv")]) == 0
+    assert len(grids) == 1
+    assert tracer.exact_metrics(recorder)[
+        "observables.wigner_grid_evals"] == len(grids)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +507,24 @@ def test_verify_evaluates_each_wigner_grid_once(monkeypatch):
     report = verify.run_verification()
     assert report["counts"]["total"] == 85 and report["all_passed"]
     assert len(set(seen)) == len(seen)
+
+
+def test_verify_builds_each_heated_density_once(monkeypatch):
+    # one density matrix per n_bar serves the density checks, the heated
+    # Wigner checks and the closed-form audits
+    calls = []
+    build = thermal.thermal_state_density_expansion
+
+    def counted(amps, params, cutoff):
+        calls.append(params.n_bar)
+        return build(amps, params, cutoff)
+
+    for module in (thermal, observables):
+        monkeypatch.setattr(module, "thermal_state_density_expansion", counted,
+                            raising=False)
+    report = verify.run_verification()
+    assert report["all_passed"]
+    assert calls == list(verify.DEFAULT_N_BARS)
 
 
 def test_verify_builds_each_doubled_vacuum_once(monkeypatch):

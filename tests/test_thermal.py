@@ -270,6 +270,13 @@ def test_unnormalized_amplitudes_rejected():
         thermal_state_density_expansion(bad, params_for(0.1), 20)
 
 
+def test_nan_amplitudes_rejected():
+    # a NaN norm passes every `>` comparison, so the check must not use one
+    amps = PhysicalAmplitudes(1.0, math.nan, 0, 0)
+    with pytest.raises(ValueError, match="not normalized"):
+        amps.require_normalized()
+
+
 # ---------------------------------------------------------------------------
 # doubled space: Bogoliubov unitary and thermal number states
 # ---------------------------------------------------------------------------

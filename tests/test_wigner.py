@@ -14,6 +14,7 @@ from thermoqubit.observables import (
     GridSpec,
     _closed_form_families,
     _wigner_values,
+    heated_wigner,
     laguerre_assoc,
     wigner_closed_form,
     wigner_exact,
@@ -399,10 +400,10 @@ def kernel_envelope_normal(spec):
 @given(amps=amplitude_sets(), n_bar=st.floats(0.0, 14.0))
 def test_exact_route_matches_kernel(amps, n_bar):
     # the cutoff-free route agrees with the kernel on each default-grid
-    # candidate to the kernel's truncation, and as a hint it leaves the
-    # widened grid unchanged, bit for bit
+    # candidate to the kernel's truncation, and the grid heated_wigner
+    # starts on from it is the one the plain widening keeps, bit for bit
     params = params_for(n_bar)
-    rho = thermal_state_density_expansion(amps, params, auto_cutoff(n_bar))
+    rho, started = heated_wigner(amps, params, auto_cutoff(n_bar))
     exact = wigner_exact(amps, params)
     for spec in DEFAULT_GRIDS:
         kernel = _wigner_values(rho.data, spec)
@@ -414,10 +415,9 @@ def test_exact_route_matches_kernel(amps, n_bar):
         assert abs(diff.sum() * spec.cell_area) <= 1e-9
         assert exact.riemann_sum(spec) == pytest.approx(
             values.sum() * spec.cell_area, rel=0, abs=1e-13)
-    hinted = wigner_from_density(rho, exact=exact)
     plain = wigner_from_density(rho)
-    assert hinted.spec == plain.spec
-    assert hinted.values.tobytes() == plain.values.tobytes()
+    assert started.spec == plain.spec
+    assert started.values.tobytes() == plain.values.tobytes()
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -432,29 +432,48 @@ def test_kernel_far_field_at_high_n_bar():
     assert np.abs(values - kernel).max() <= 1e-9 * np.abs(kernel).max()
 
 
-@pytest.mark.parametrize("n_bar, grid, last_q", [
-    (1.0, GridSpec(-2, 2, -2, 2, 9, 9), 16),      # last after 3 doublings
-    (0.1, GridSpec(-33, 33, -33, 33, 5, 5), 33),  # last at once: q_max >= 32
-], ids=["attempts", "q-max"])
-def test_hint_keeps_widening_error(monkeypatch, n_bar, grid, last_q):
-    # the last grid allowed always gets a kernel pass, so the error (whose
-    # text carries the kernel's sum) reads the same with and without the
-    # hint; the grids before it are ruled out by the exact route alone
-    rho = heated_rho(n_bar)
-    hint = wigner_exact(DEFAULT_AMPLITUDES, params_for(n_bar))
-    messages, evaluated = [], []
+def counted_kernel(monkeypatch) -> list:
+    """The q_max of each grid `_wigner_values` is run on from now on."""
+    evaluated = []
     kernel = observables._wigner_values
 
-    def counted(r, spec):
+    def counted(rho, spec):
         evaluated.append(spec.q_max)
-        return kernel(r, spec)
+        return kernel(rho, spec)
 
     monkeypatch.setattr(observables, "_wigner_values", counted)
-    for exact in (None, hint):
-        evaluated.clear()
-        with pytest.raises(GridWideningError) as err:
-            wigner_from_density(rho, grid, widen=True, exact=exact)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    assert f"on [{-last_q}, {last_q}]^2" in messages[1]
-    assert evaluated == [last_q]
+    return evaluated
+
+
+@pytest.mark.parametrize("n_bar, grid, evaluated", [
+    (1.0, GridSpec(-2, 2, -2, 2, 9, 9), [2, 4, 8, 16]),  # last: 3 doublings
+    (0.1, GridSpec(-33, 33, -33, 33, 5, 5), [33]),        # last: q_max >= 32
+], ids=["attempts", "q-max"])
+def test_widening_error_names_last_grid(monkeypatch, n_bar, grid, evaluated):
+    # the widening runs the kernel on each grid up to the last one allowed,
+    # and the error carries that grid and its normalization error
+    rho = heated_rho(n_bar)
+    grids = counted_kernel(monkeypatch)
+    with pytest.raises(GridWideningError) as err:
+        wigner_from_density(rho, grid, widen=True)
+    last = evaluated[-1]
+    assert str(err.value).endswith(
+        f"> {observables.GRID_TOL_DEFAULT} on [{-last}, {last}]^2; "
+        f"no wider grid allowed")
+    assert grids == evaluated
+
+
+def test_heated_wigner_widening_error(monkeypatch):
+    # at n_bar = 10 the exact route rules out [-8, 8]^2 and [-16, 16]^2, so
+    # heated_wigner starts on [-32, 32]^2; with no tolerance left the
+    # kernel's one pass there raises the plain loop's error
+    monkeypatch.setattr(observables, "GRID_TOL_DEFAULT", 0.0)
+    rho = heated_rho(10.0)
+    with pytest.raises(GridWideningError) as plain:
+        wigner_from_density(rho, DEFAULT_GRIDS[2], widen=True)
+    grids = counted_kernel(monkeypatch)
+    with pytest.raises(GridWideningError) as err:
+        heated_wigner(DEFAULT_AMPLITUDES, params_for(10.0), auto_cutoff(10.0))
+    assert str(err.value) == str(plain.value)
+    assert "on [-32.0, 32.0]^2" in str(err.value)
+    assert grids == [32]
