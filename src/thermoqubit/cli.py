@@ -273,19 +273,31 @@ def cmd_verify(cfg: SweepConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# argparse prints an ArgumentTypeError's message, else the parser's name
+
 def _parse_amps(text: str) -> thermal.PhysicalAmplitudes:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 8:
-        vals = [float(p) for p in parts]
-        comps = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
-        return thermal.PhysicalAmplitudes(*comps)
-    if len(parts) == 4:
-        return thermal.PhysicalAmplitudes(*(float(p) for p in parts))
-    raise ValueError("--amps expects x,y,z,w or re,im pairs (8 values)")
+    try:
+        vals = [float(p) for p in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) == 8:
+        vals = map(complex, vals[0::2], vals[1::2])
+    elif len(vals) != 4:
+        raise argparse.ArgumentTypeError(
+            f"amps expects x,y,z,w or 8 re,im values, got {text!r}")
+    return thermal.PhysicalAmplitudes(*vals)
+
+
+def _number(text: str) -> float:
+    """float(text), or NaN (which every range check rejects)."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _parse_nbar(text: str) -> float:
-    value = float(text)
+    value = _number(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(
             f"n_bar must be finite and nonnegative, got {text!r}")
@@ -295,7 +307,8 @@ def _parse_nbar(text: str) -> float:
 def _parse_nbar_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("--nbar-range expects start:end:steps")
+        raise argparse.ArgumentTypeError(
+            f"n_bar range expects start:end:steps, got {text!r}")
     start, end, steps = parts
     if not (steps.isdecimal() and int(steps) >= 2):
         raise argparse.ArgumentTypeError(
@@ -309,7 +322,8 @@ def _parse_grid(text: str) -> observables.GridSpec:
         q_min, q_max, nq = q_part.split(":")
         p_min, p_max, npts = p_part.split(":")
     except ValueError:
-        raise ValueError("--grid expects qmin:qmax:nq,pmin:pmax:np")
+        raise argparse.ArgumentTypeError(
+            f"grid expects qmin:qmax:nq,pmin:pmax:np, got {text!r}") from None
     try:
         return observables.GridSpec(float(q_min), float(q_max),
                                     float(p_min), float(p_max),
@@ -332,7 +346,7 @@ def _parse_cutoff(text: str):
 def _parse_tail_tol(text: str) -> float:
     # the density builders re-check every cutoff at TAIL_TOL_DEFAULT, so a
     # looser tolerance could never take effect
-    value = float(text)
+    value = _number(text)
     if not 0.0 < value <= thermal.TAIL_TOL_DEFAULT:  # also rejects NaN
         raise argparse.ArgumentTypeError(
             f"tail_tol must be in (0, {thermal.TAIL_TOL_DEFAULT:g}], "

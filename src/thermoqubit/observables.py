@@ -420,8 +420,11 @@ def mandel_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
             / (c1 v^2 + c2 u^2)
 
     The closed form matches the numeric path at zero temperature and
-    drifts for n_bar > 0 (its <N^2> coefficient table is suspect); the
-    numeric path arbitrates.
+    drifts for n_bar > 0: its u^2 v^2 coefficient c6 - c4 (4.24 at the
+    default amplitudes) is wrong.  With 3 c2 + c1 - 2 c1 c2 (3.85) there,
+    the formula matches `mandel_numeric` at cutoff 512 within 6e-14
+    relative (n_bar = 0.1, 1, 10; real and complex amplitudes).  It is
+    evaluated as printed; the numeric path arbitrates.
     """
     amps.require_normalized()
     closed, den = _mandel_series(amps, np.array([params.n_bar]))
@@ -442,55 +445,77 @@ def laguerre_assoc(n: int, k: int, arg):
     """L_n^k(arg) by the stable three-term recurrence.
 
     L_m^k = ((2m - 1 + k - arg) L_{m-1}^k - (m - 1 + k) L_{m-2}^k) / m,
-    with L_0 = 1 and L_1 = 1 + k - arg: `_laguerre_rows` under a unit
-    envelope.  Accepts scalar or array argument.
+    with L_0 = 1 and L_1 = 1 + k - arg: `_laguerre_sums` of one one-hot
+    row under a unit envelope.  Accepts scalar or array argument.
     """
     if n < 0 or k < 0:
         raise ValueError("laguerre_assoc requires n >= 0 and k >= 0")
     if n > 600:
         raise ValueError(f"degree {n} beyond the supported range (600)")
     arg = np.asarray(arg, dtype=float)
-    flat = arg.ravel()
-    for _, _, cur in _laguerre_rows([k], [n], flat, np.ones_like(flat)):
-        pass
-    out = cur[0].reshape(arg.shape)
+    out = _laguerre_sums([k], np.eye(1, n + 1, n), arg.ravel(),
+                         np.ones(arg.size))[0].reshape(arg.shape)
     return out if arg.ndim else float(out)
 
 
-def _laguerre_rows(ks, tops, arg: np.ndarray, envelope: np.ndarray):
-    """Yield (m, rows, cur) for m = 0..tops[0], where cur[i] holds
-    L_m^ks[i](arg) * envelope for each of the first `rows` rows, the
-    rows i with tops[i] >= m.
+def _laguerre_sums(ks, coef: np.ndarray, arg: np.ndarray,
+                   envelope: np.ndarray) -> np.ndarray:
+    """sums[i] = sum_m coef[i, m] L_m^ks[i](arg) envelope for each row i.
 
-    The rows must come in non-increasing order of top.  All rows step
-    together in three reused (rows x len(arg)) buffers, so cur is valid
-    only until the next step.  The recurrence is run on the
-    envelope-scaled functions; since it is linear this is exact, and it
-    keeps intermediates bounded where the bare polynomials would overflow
-    (large arg, large m).
+    L comes from the recurrence of `laguerre_assoc` run on the
+    envelope-scaled functions, which is exact (it is linear) and keeps
+    intermediates bounded where the bare polynomials would overflow.  Rows
+    with the same superscript share one recurrence, up to the last nonzero
+    coefficient of any of them; all superscripts step together in three
+    reused buffers.  Each row is summed from +0 in increasing m, so zero
+    coefficients add nothing and the other rows do not change its bits:
+    an all-zero row stays +0, rows with the same superscript and
+    coefficients are summed once, and where the envelope is 0 (every term
+    an exact zero) nothing is evaluated.
     """
-    k = np.asarray(ks, dtype=float)[:, None]
-    shape = (len(tops), arg.size)
-    prev, cur, nxt = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    sums = np.zeros((len(coef), arg.size))
+    live = np.flatnonzero(envelope)
+    arg, envelope = arg[live], envelope[live]
+    keys = [(kk, (row + 0.0).tobytes()) for kk, row in zip(ks, coef)]  # -0 = +0
+    summed = [i for i, row in enumerate(coef)
+              if row.any() and keys.index(keys[i]) == i]
+    tops = {}  # superscript -> the last degree any of its rows needs
+    for i in summed:
+        tops[ks[i]] = max(tops.get(ks[i], 0), np.flatnonzero(coef[i])[-1])
+    order = sorted(tops, key=lambda kk: -tops[kk])  # longest recurrence first
+    summed.sort(key=lambda i: order.index(ks[i]))
+    # summed row j reads recurrence row src[j]; while the first `rows`
+    # recurrences run, the first ends[rows - 1] summed rows do
+    src = [order.index(ks[i]) for i in summed]
+    ends = np.searchsorted(src, np.arange(len(order)), side="right")
+    c = coef[summed]
+    acc = np.zeros((len(summed), live.size))
+    k = np.asarray(order, dtype=float)[:, None]
+    prev, cur, nxt = (np.empty((len(order), live.size)) for _ in range(3))
     cur[...] = envelope
-    rows = len(tops)
-    yield 0, rows, cur
-    for m in range(1, tops[0] + 1):
-        while tops[rows - 1] < m:
+    rows = len(order)
+    for m in range(max(tops.values(), default=-1) + 1):
+        while tops[order[rows - 1]] < m:
             rows -= 1
         out, kr = nxt[:rows], k[:rows]
         if m == 1:
             np.subtract(1.0 + kr, arg, out=out)
             np.multiply(out, envelope, out=out)
-        else:
+        elif m > 1:
             np.subtract(2 * m - 1 + kr, arg, out=out)
             np.multiply(out, cur[:rows], out=out)
             back = prev[:rows]  # L_{m-2} is not needed after this step
             np.multiply(m - 1 + kr, back, out=back)
             np.subtract(out, back, out=out)
             np.divide(out, m, out=out)
-        prev, cur, nxt = cur, nxt, prev
-        yield m, rows, cur
+        if m:
+            prev, cur, nxt = cur, nxt, prev
+        n = ends[rows - 1]
+        acc[:n] += c[:n, m, None] * cur[src[:n]]
+    for i, key in enumerate(keys):
+        if coef[i].any():
+            sums[i, live] = acc[summed.index(keys.index(key))]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -525,25 +550,22 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
     the grid (5,924 of 66,049 points on the default grid) and are
     scattered back once per offset before the phase factor is applied.
     Only the offsets of rho's nonzero diagonals take part (5 of 360 for
-    the heated state at n_bar = 10), all in one recurrence, and only on
-    the r^2 whose envelope is nonzero; elsewhere every term is an exact
-    zero, so the radial sums are left at +0.  Every grid point goes
-    through the same arithmetic as a point-by-point evaluation, so the
-    values do not depend on the factorization.
+    the heated state at n_bar = 10), all in one `_laguerre_sums` call, the
+    accumulator the printed series (`wigner_closed_form`) runs too.  Every
+    grid point goes through the same arithmetic as a point-by-point
+    evaluation, so the values do not depend on the factorization.
     """
     dim = rho.shape[0]
     qg, pg, r2, inv = spec._radial
     with np.errstate(under="ignore"):
         envelope = np.exp(-r2)          # = exp(-2 |alpha|^2)
-    live = np.count_nonzero(envelope)   # a prefix: r2 is sorted
-    x_arg = 2.0 * r2[:live]             # = 4 |alpha|^2
     rows_nz, cols_nz = np.nonzero(rho)
     # not np.unique, which imports numpy.ma
     offsets = np.flatnonzero(np.bincount(np.abs(rows_nz - cols_nz))).tolist()
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(dim)])  # log m!
     # coef[j, i, n] for the i-th offset: the real (j = 0) and imaginary
     # (j = 1) parts of rho[n+off, n] * weight_n, then (j = 2, 3) those of
-    # rho[n, n+off] * weight_n; the offset's recurrence stops at dim-1-off
+    # rho[n, n+off] * weight_n, zero past n = dim-1-off
     coef = np.zeros((4, len(offsets), dim))
     for i, off in enumerate(offsets):
         n_top = dim - 1 - off
@@ -553,35 +575,14 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
         upper = np.diagonal(rho, off) * weights
         coef[:, i, : n_top + 1] = lower.real, lower.imag, upper.real, upper.imag
     # A complex sum of c * L over real L is, bit for bit, the pair of real
-    # sums of Re(c) * L and Im(c) * L: the sums start at +0, so no zero
-    # sign can differ.  Each distinct nonzero row of coef is summed once
-    # (a real symmetric rho, like every heated state, has one); an
-    # all-zero row's sum stays +0.
-    parts, part_of = [], {}  # row j of coef is summed as parts[part_of[j]]
-    for j in range(4):
-        if not coef[j].any():
-            continue
-        for i in part_of:
-            if np.array_equal(coef[i], coef[j]):
-                part_of[j] = part_of[i]
-                break
-        else:
-            part_of[j] = len(parts)
-            parts.append(j)
-    acc = np.zeros((len(parts), len(offsets), r2.size))
-    term = np.empty((len(parts), len(offsets), live))
-    if parts:
-        part_coef = coef[parts]
-        tops = [dim - 1 - off for off in offsets]
-        for n, rows, scaled in _laguerre_rows(offsets, tops, x_arg,
-                                              envelope[:live]):
-            out = term[:, :rows]
-            np.multiply(part_coef[:, :rows, n, None], scaled[:rows], out=out)
-            acc[:, :rows, :live] += out
-    sums = np.zeros((2, len(offsets), r2.size), dtype=complex)  # lower, upper
-    for j, part in part_of.items():
-        half = sums[j // 2]
-        (half.real if j % 2 == 0 else half.imag)[...] = acc[part]
+    # sums of Re(c) * L and Im(c) * L (both start at +0).  `_laguerre_sums`
+    # sums each distinct nonzero row once: one per offset for a real,
+    # bit-symmetric rho (the heated state's diagonals at offsets 1-3 differ
+    # from their transposes by rounding, so it sums 8 rows for 5 offsets).
+    radial = _laguerre_sums(offsets * 4, coef.reshape(-1, dim), 2.0 * r2,
+                            envelope).reshape(2, 2, len(offsets), r2.size)
+    sums = np.empty((2, len(offsets), r2.size), dtype=complex)  # lower, upper
+    sums.real, sums.imag = radial[:, 0], radial[:, 1]
 
     w = np.zeros(qg.shape, dtype=complex)
     base = np.sqrt(2.0) * (qg - 1j * pg)  # 2 conj(alpha)
@@ -798,9 +799,9 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     params (the printed series is known to carry typos; the numeric grid
     is ground truth).
 
-    Each printed family is summed on the distinct r^2 of the grid whose
-    envelope is nonzero (elsewhere every term is an exact zero), in one
-    recurrence for all five superscripts, and scattered back once, times
+    The printed families are summed on the distinct r^2 of the grid by one
+    `_laguerre_sums` call, the accumulator the numeric kernel
+    (`_wigner_values`) runs too, and each is scattered back once, times
     its phase-space prefactor.
     """
     amps.require_normalized()
@@ -808,44 +809,28 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
         raise ValueError("closed-form Wigner series requires real amplitudes")
     spec = numeric.spec
     qg, pg, r2, inv = spec._radial
-    x_arg = 2.0 * r2
-    with np.errstate(under="ignore"):
-        envelope = np.exp(-x_arg / 2.0)
-    live = np.count_nonzero(envelope)  # a prefix: r2 is sorted
-    k, k1 = params.k, params.k1
     n_signed = (-1.0) ** np.arange(cutoff + 1)
     with np.errstate(under="ignore"):
-        geom = k1 ** np.arange(cutoff + 1, dtype=float)
+        envelope = np.exp(-r2)
+        geom = params.k1 ** np.arange(cutoff + 1, dtype=float)
 
     # stably sorted by superscript: the order the families are summed in
     families = sorted(_closed_form_families(
         amps, params, qg, pg, np.arange(cutoff + 1, dtype=float)),
         key=lambda family: family[0])
-    ks = [family[0] for family in families]
-    # one recurrence row per superscript, longest first; a family of shift
-    # s reads degree m of its row at master-sum index n = m - s
-    tops = {kk: cutoff + max(shift for k_f, shift, _, _ in families
-                             if k_f == kk)
-            for kk in ks}
-    row_ks = sorted(tops, key=lambda kk: -tops[kk])
-    row_families = [slice(ks.index(kk), ks.index(kk) + ks.count(kk))
-                    for kk in row_ks]
-    coef = np.zeros((len(families), tops[row_ks[0]] + 1))
+    # a family of shift s reads degree m of its superscript's Laguerre
+    # function at master-sum index n = m - s
+    coef = np.zeros((len(families),
+                     cutoff + 1 + max(family[1] for family in families)))
     for i, (_, shift, _, weight) in enumerate(families):
         coef[i, shift: shift + cutoff + 1] = geom * n_signed * weight
-    acc = np.zeros((len(families), r2.size))
-    term = np.empty((len(families), live))
-    for m, rows, scaled in _laguerre_rows(
-            row_ks, [tops[kk] for kk in row_ks], x_arg[:live],
-            envelope[:live]):
-        for r, fams in enumerate(row_families[:rows]):
-            np.multiply(coef[fams, m, None], scaled[r], out=term[fams])
-            acc[fams, :live] += term[fams]
+    radial = _laguerre_sums([family[0] for family in families], coef,
+                            2.0 * r2, envelope)
 
     total = np.zeros_like(qg)
-    for (_, _, pref, _), radial in zip(families, acc):
-        total += pref * radial[inv]
-    values = k * CLOSED_FORM_WIGNER_SCALE * total
+    for (_, _, pref, _), family_radial in zip(families, radial):
+        total += pref * family_radial[inv]
+    values = params.k * CLOSED_FORM_WIGNER_SCALE * total
     closed = WignerGrid(spec, values)
 
     diff = closed.values - numeric.values

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -31,14 +32,14 @@ def test_parse_amps_reals_and_pairs():
     assert abs(a.x - 0.2) < 1e-12
     b = cli._parse_amps("0.2,0.1,0.3,0,0.6,0,0.7,0")
     assert b.x == complex(0.2, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_amps("1,2,3")
 
 
 def test_parse_grid():
     g = cli._parse_grid("-5:5:41,-6:6:81")
     assert g == GridSpec(-5, 5, -6, 6, 41, 81)
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_grid("-5:5:41")
 
 
@@ -140,6 +141,11 @@ STEPS_ERROR = "n_bar range needs an integer of at least 2 steps"
 REAL_AMPS_ERROR = "needs real amplitudes"
 AMPS_ERROR = "amplitudes must be finite"
 GRID_ERROR = "grid bounds must be finite"
+# argparse prints "invalid _parse_amps value" unless the parser raises
+# ArgumentTypeError with its own message
+AMPS_LAYOUT_ERROR = "amps expects x,y,z,w or 8 re,im values, got "
+GRID_LAYOUT_ERROR = "grid expects qmin:qmax:nq,pmin:pmax:np, got "
+RANGE_LAYOUT_ERROR = "n_bar range expects start:end:steps, got "
 COMPLEX_AMPS = "--amps=0.1,0.2,0.3,0.4,0.5,-0.2,0.1,0.6"
 BAD_ARGV = [
     (["wigner-grid", "--nbar", "nan"], NBAR_ERROR),
@@ -168,6 +174,14 @@ BAD_ARGV = [
     (["sweep-fidelity", "--amps", "inf,0,0,0"], AMPS_ERROR),
     (["sweep-mandel", "--amps", "1,nan,0,0"], AMPS_ERROR),
     (["wigner-grid", "--nbar", "0.1", "--grid=-inf:inf:3,-1:1:3"], GRID_ERROR),
+    # values that do not parse: the message gives the reason and the text
+    (["sweep-fidelity", "--amps", "1,2,3"], AMPS_LAYOUT_ERROR + "'1,2,3'"),
+    (["sweep-fidelity", "--amps", "1,x,0,0"], AMPS_LAYOUT_ERROR + "'1,x,0,0'"),
+    (["wigner-grid", "--grid", "1:2:3"], GRID_LAYOUT_ERROR + "'1:2:3'"),
+    (["wigner-grid", "--nbar", "x"], NBAR_ERROR + ", got 'x'"),
+    (["sweep-fidelity", "--nbar-range", "1:2"], RANGE_LAYOUT_ERROR + "'1:2'"),
+    (["sweep-fidelity", "--nbar-range", "0:x:5"], NBAR_ERROR + ", got 'x'"),
+    (["sweep-fidelity", "--tail-tol", "x"], TAIL_TOL_ERROR + ", got 'x'"),
 ]
 
 
@@ -180,7 +194,7 @@ def test_bad_nbar_rejected_before_work(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert message in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "_parse_" not in err
 
 
 def test_bad_nbar_in_config_file_rejected(tmp_path, capsys):
@@ -220,7 +234,15 @@ def test_complex_amps_still_sweep(tmp_path):
     ("cutoff=4", CUTOFF_ERROR),
     ("nbar_range=0:1:1", STEPS_ERROR),
     ("amps=nan,0,0,0", AMPS_ERROR),
-], ids=["tail_tol", "cutoff", "nbar_range", "amps"])
+    ("amps=1,2,3", AMPS_LAYOUT_ERROR + "'1,2,3'"),
+    ("amps=1,x,0,0", AMPS_LAYOUT_ERROR + "'1,x,0,0'"),
+    ("grid=1:2:3", GRID_LAYOUT_ERROR + "'1:2:3'"),
+    ("nbar=x", NBAR_ERROR + ", got 'x'"),
+    ("nbar_range=1:2", RANGE_LAYOUT_ERROR + "'1:2'"),
+    ("nbar_range=0:x:5", NBAR_ERROR + ", got 'x'"),
+    ("tail_tol=x", TAIL_TOL_ERROR + ", got 'x'"),
+], ids=["tail_tol", "cutoff", "nbar_range", "amps", "amps-3", "amps-x",
+        "grid-layout", "nbar-x", "nbar_range-2", "nbar_range-x", "tail_tol-x"])
 def test_bad_config_value_rejected(tmp_path, capsys, line, message):
     conf = tmp_path / "run.conf"
     conf.write_text(line + "\n")
@@ -231,7 +253,7 @@ def test_bad_config_value_rejected(tmp_path, capsys, line, message):
     assert list(tmp_path.iterdir()) == [conf]
     err = capsys.readouterr().err
     assert message in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "_parse_" not in err
 
 
 # numerical limits: n_bar past the cutoff cap, a grid that cannot be widened

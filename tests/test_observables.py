@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from thermoqubit.errors import MandelUndefinedError
 from thermoqubit.observables import (
+    _mandel_coefficients,
     fidelity_closed_form,
     fidelity_numeric,
     laguerre_assoc,
@@ -137,12 +138,51 @@ def test_mandel_closed_form_undefined_denominator():
 
 @pytest.mark.parametrize("n_bar", [0.1, 0.3, 1.0, 10.0])
 def test_mandel_closed_form_discrepancy_logged(n_bar):
-    # the printed <N^2> coefficient table is suspect; the numeric path is
+    # one printed coefficient is wrong (see below); the numeric path is
     # ground truth and the report only documents the drift
     report = mandel_closed_form(DEFAULT_AMPLITUDES, params_for(n_bar))
     assert math.isfinite(report.value_closed_form)
     assert report.abs_discrepancy == pytest.approx(
         abs(report.value_numeric - report.value_closed_form), rel=1e-12)
+
+
+def mandel_one_coefficient_fixed(amps, n_bar):
+    """The printed Mandel formula with its u^2 v^2 coefficient c6 - c4
+    replaced by 3 c2 + c1 - 2 c1 c2, every other printed coefficient kept."""
+    c = _mandel_coefficients(amps)
+    u2, v2 = 1.0 + n_bar, n_bar
+    num = ((3 * c["c2"] + c["c1"] - 2 * c["c1"] * c["c2"]) * u2 * v2
+           + (c["c7"] - c["c3"]) * v2**2 + (c["c8"] - c["c5"]) * u2**2
+           - c["c1"] * v2 - c["c2"] * u2)
+    return num / (c["c1"] * v2 + c["c2"] * u2)
+
+
+def test_mandel_wrong_printed_coefficient_at_default_amplitudes():
+    c = _mandel_coefficients(DEFAULT_AMPLITUDES)
+    assert c["c6"] - c["c4"] == pytest.approx(4.24, abs=1e-12)
+    assert 3 * c["c2"] + c["c1"] - 2 * c["c1"] * c["c2"] == pytest.approx(
+        3.85, abs=1e-12)
+
+
+def _unit(raw):
+    return PhysicalAmplitudes(*(raw / np.linalg.norm(raw)))
+
+
+_MANDEL_RNG = np.random.default_rng(1093)
+MANDEL_AMPS = ([DEFAULT_AMPLITUDES]
+               + [_unit(_MANDEL_RNG.normal(size=4)) for _ in range(3)]
+               + [_unit(_MANDEL_RNG.normal(size=4)
+                        + 1j * _MANDEL_RNG.normal(size=4)) for _ in range(3)])
+
+
+@pytest.mark.parametrize("amps", MANDEL_AMPS,
+                         ids=["default", "real-0", "real-1", "real-2",
+                              "complex-0", "complex-1", "complex-2"])
+@pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
+def test_mandel_printed_formula_exact_with_one_coefficient_fixed(amps, n_bar):
+    q = mandel_numeric(amps, params_for(n_bar), cutoff=512)
+    fixed = mandel_one_coefficient_fixed(amps, n_bar)
+    assert abs(fixed - q) <= 1e-12 * max(1.0, abs(q))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The sweeps evaluate n_bar in blocks: the block readers against the
-point-by-point public functions, the sweep's block loop, and the committed
-benchmark references."""
+point-by-point public functions and the sweep's block loop; and every
+benchmark command against its committed reference."""
 
 import importlib
 import math
@@ -271,11 +271,15 @@ def perfbench():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_sweeps_match_benchmark_reference(tmp_path, perfbench, seed):
+@pytest.mark.parametrize("workload", ["sweep", "wigner", "verify"])
+def test_outputs_match_benchmark_reference(tmp_path, perfbench, workload, seed):
+    # every benchmark command, in process, against its committed reference:
+    # a drift in the sweeps, the Wigner kernel, the printed series or the
+    # verify checks fails here, not only in the benchmark harness
     run, check = perfbench
-    references = check.load_reference("sweep", seed)
-    commands = run.commands("sweep", seed)
-    assert len(references) == len(commands) == 4
+    references = check.load_reference(workload, seed)
+    commands = run.commands(workload, seed)
+    assert references is not None and len(references) == len(commands) > 0
     for i, (argv, reference) in enumerate(zip(commands, references)):
         out = tmp_path / run.out_name(i, argv)
         assert cli.main(argv + ["--out", str(out)]) == 0

@@ -13,6 +13,7 @@ from thermoqubit.observables import (
     CLOSED_FORM_WIGNER_SCALE,
     GridSpec,
     _closed_form_families,
+    _laguerre_sums,
     _wigner_values,
     heated_wigner,
     laguerre_assoc,
@@ -202,6 +203,55 @@ def scaled_laguerre_steps(k, top, arg, envelope):
     for m in range(2, top + 1):
         prev, cur = cur, ((2 * m - 1 + k - arg) * cur - (m - 1 + k) * prev) / m
         yield m, cur
+
+
+def laguerre_sums_by_row(ks, coef, arg, envelope):
+    """Each row's sum of coef * L from +0 over every degree, one recurrence
+    per row: the reference `_laguerre_sums` must match bit for bit."""
+    sums = np.zeros((len(coef), arg.size))
+    for k, row, acc in zip(ks, coef, sums):
+        for m, scaled_l in scaled_laguerre_steps(k, len(row) - 1, arg, envelope):
+            acc += row[m] * scaled_l
+    return sums
+
+
+def accumulator_rows():
+    rng = np.random.default_rng(5)
+    coef = np.zeros((7, 13))
+    coef[0, :6] = rng.normal(size=6)    # k = 2, last nonzero degree 5
+    coef[1] = rng.normal(size=13)       # k = 0, every degree ...
+    coef[1, [3, 7]] = 0.0, -0.0         # ... but two, one a -0
+    coef[2] = coef[0]                   # k = 2 again, the same row
+    coef[3, ::2] = -0.0                 # k = 0, all zero: stays +0
+    coef[4, 7] = 1.0                    # k = 3, one-hot at degree 7
+    coef[5, :10] = rng.normal(size=10)  # k = 1, last nonzero degree 9
+    coef[6] = coef[1]                   # row 1's coefficients at k = 2
+    return [2, 0, 2, 0, 3, 1, 2], coef
+
+
+LAGUERRE_ARGS = np.array([0.0, 0.5, 1.0, 4.0, 7.5, 40.0, 700.0, 1500.0])
+
+
+@pytest.mark.parametrize("envelope", ["unit", "gaussian"])
+def test_laguerre_sums_match_row_by_row_recurrence(envelope):
+    ks, coef = accumulator_rows()
+    with np.errstate(under="ignore"):
+        env = (np.ones_like(LAGUERRE_ARGS) if envelope == "unit"
+               else np.exp(-LAGUERRE_ARGS / 2.0))
+    sums = _laguerre_sums(ks, coef, LAGUERRE_ARGS, env)
+    assert_bit_identical(sums, laguerre_sums_by_row(ks, coef, LAGUERRE_ARGS, env))
+    assert_bit_identical(sums[2], sums[0])
+    assert_bit_identical(sums[3], np.zeros_like(LAGUERRE_ARGS))
+    assert not np.array_equal(sums[6], sums[1])
+    if envelope == "unit":
+        assert_bit_identical(sums[4], laguerre_assoc(7, 3, LAGUERRE_ARGS))
+
+
+def test_laguerre_sums_all_zero():
+    ks, coef = accumulator_rows()
+    sums = _laguerre_sums(ks, 0.0 * coef, LAGUERRE_ARGS,
+                          np.ones_like(LAGUERRE_ARGS))
+    assert_bit_identical(sums, np.zeros((len(ks), LAGUERRE_ARGS.size)))
 
 
 def wigner_by_offset(rho, q, p):
