@@ -2,13 +2,15 @@
 verification suite, emitting CSV/JSON suitable for plotting and CI.
 
 Subcommands: sweep-fidelity, sweep-mandel, wigner-grid, verify.
-Floats are written as %.9e so identical configurations always produce
-byte-identical files.
+CSV/JSON rows carry floats as %.9e so identical configurations always
+produce byte-identical rows; the wigner-grid sidecar and the verify
+report carry repr floats, whose last digit shows a rounding move.
 
 Exit status: 0 on success, 1 when a `verify` check fails, 2 for a usage
-error, 3 when a numerical limit is hit (no cutoff reaches the tail
-tolerance, or the Wigner grid cannot be widened enough); errors are one
-line on stderr and nothing is written to --out.
+error or an unreadable or unwritable file, 3 when a numerical limit is
+hit (no cutoff reaches the tail tolerance, or the Wigner grid cannot be
+widened enough); errors are one line on stderr and nothing is written to
+--out.
 """
 
 from __future__ import annotations
@@ -453,8 +455,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-    except (argparse.ArgumentTypeError, ValueError) as exc:  # bad config file
-        parser.error(str(exc))
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+        parser.error(str(exc))  # a bad or unreadable config file
     if args.command in ("wigner-grid", "verify") and not cfg.amps.is_real():
         # the closed-form Wigner series both commands audit is printed
         # with unconjugated products
@@ -476,6 +478,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{parser.prog} {args.command}: numerical limit: "
                          f"{exc}\n")
         return EXIT_NUMERICAL_LIMIT
+    except OSError as exc:  # --out (or its sidecar) cannot be written
+        sys.stderr.write(f"{parser.prog} {args.command}: cannot write "
+                         f"{exc.filename or cfg.out}: {exc.strerror or exc}\n")
+        return 2
     raise AssertionError(f"unhandled command {args.command}")
 
 

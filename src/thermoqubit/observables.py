@@ -469,16 +469,13 @@ def _laguerre_sums(ks, coef: np.ndarray, arg: np.ndarray,
     coefficient of any of them; all superscripts step together in three
     reused buffers.  Each row is summed from +0 in increasing m, so zero
     coefficients add nothing and the other rows do not change its bits:
-    an all-zero row stays +0, rows with the same superscript and
-    coefficients are summed once, and where the envelope is 0 (every term
-    an exact zero) nothing is evaluated.
+    an all-zero row stays +0, and where the envelope is 0 (every term an
+    exact zero) nothing is evaluated.
     """
     sums = np.zeros((len(coef), arg.size))
     live = np.flatnonzero(envelope)
     arg, envelope = arg[live], envelope[live]
-    keys = [(kk, (row + 0.0).tobytes()) for kk, row in zip(ks, coef)]  # -0 = +0
-    summed = [i for i, row in enumerate(coef)
-              if row.any() and keys.index(keys[i]) == i]
+    summed = [i for i, row in enumerate(coef) if row.any()]
     tops = {}  # superscript -> the last degree any of its rows needs
     for i in summed:
         tops[ks[i]] = max(tops.get(ks[i], 0), np.flatnonzero(coef[i])[-1])
@@ -512,9 +509,7 @@ def _laguerre_sums(ks, coef: np.ndarray, arg: np.ndarray,
             prev, cur, nxt = cur, nxt, prev
         n = ends[rows - 1]
         acc[:n] += c[:n, m, None] * cur[src[:n]]
-    for i, key in enumerate(keys):
-        if coef[i].any():
-            sums[i, live] = acc[summed.index(keys.index(key))]
+    sums[np.ix_(summed, live)] = acc
     return sums
 
 
@@ -539,70 +534,63 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
 
     With alpha = (q + ip)/sqrt(2) and m >= n the kernel is
     (1/pi) (-1)^n sqrt(n!/m!) (2 conj(alpha))^(m-n) e^{-2|alpha|^2}
-    L_n^{m-n}(4|alpha|^2); the m < n entries follow by conjugation.  The
-    sum is organized by diagonal offset with a fixed loop order so results
-    are deterministic, and the Gaussian envelope is folded into the
-    Laguerre recurrence to avoid overflow.
+    L_n^{m-n}(4|alpha|^2); the m < n entries follow by conjugation.  rho
+    is taken to be Hermitian and only its lower triangle is read: each
+    upper diagonal adds the conjugate of the lower one's term.  The sum is
+    organized by diagonal offset with a fixed loop order so results are
+    deterministic, and the Gaussian envelope is folded into the Laguerre
+    recurrence to avoid overflow.
 
-    Radial factorization: the offset-m term is (2 conj(alpha))^m (or its
-    conjugate, for the upper diagonal) times a function of r^2 alone, so
-    the recurrence and both diagonal sums run only on the distinct r^2 of
-    the grid (5,924 of 66,049 points on the default grid) and are
-    scattered back once per offset before the phase factor is applied.
-    Only the offsets of rho's nonzero diagonals take part (5 of 360 for
-    the heated state at n_bar = 10), all in one `_laguerre_sums` call, the
-    accumulator the printed series (`wigner_closed_form`) runs too.  Every
-    grid point goes through the same arithmetic as a point-by-point
-    evaluation, so the values do not depend on the factorization.
+    Radial factorization: the offset-m term is (2 conj(alpha))^m times a
+    function of r^2 alone, so the recurrence and the diagonal sums run
+    only on the distinct r^2 of the grid (5,924 of 66,049 points on the
+    default grid) and are scattered back once per offset before the phase
+    factor is applied.  Only the offsets of rho's nonzero lower diagonals
+    take part (5 of 360 for the heated state at n_bar = 10), all in one
+    `_laguerre_sums` call, the accumulator the printed series
+    (`wigner_closed_form`) runs too.  Every grid point goes through the
+    same arithmetic as a point-by-point evaluation, so the values do not
+    depend on the factorization.
     """
     dim = rho.shape[0]
     qg, pg, r2, inv = spec._radial
     with np.errstate(under="ignore"):
         envelope = np.exp(-r2)          # = exp(-2 |alpha|^2)
-    rows_nz, cols_nz = np.nonzero(rho)
+    rows_nz, cols_nz = np.nonzero(np.tril(rho))
     # not np.unique, which imports numpy.ma
-    offsets = np.flatnonzero(np.bincount(np.abs(rows_nz - cols_nz))).tolist()
+    offsets = np.flatnonzero(np.bincount(rows_nz - cols_nz)).tolist()
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(dim)])  # log m!
     # coef[j, i, n] for the i-th offset: the real (j = 0) and imaginary
-    # (j = 1) parts of rho[n+off, n] * weight_n, then (j = 2, 3) those of
-    # rho[n, n+off] * weight_n, zero past n = dim-1-off
-    coef = np.zeros((4, len(offsets), dim))
+    # (j = 1) parts of rho[n+off, n] * weight_n, zero past n = dim-1-off
+    coef = np.zeros((2, len(offsets), dim))
     for i, off in enumerate(offsets):
         n_top = dim - 1 - off
         weights = ((-1.0) ** np.arange(n_top + 1)
                    * np.exp(0.5 * (log_fact[: n_top + 1] - log_fact[off:])))
         lower = np.diagonal(rho, -off) * weights
-        upper = np.diagonal(rho, off) * weights
-        coef[:, i, : n_top + 1] = lower.real, lower.imag, upper.real, upper.imag
+        coef[:, i, : n_top + 1] = lower.real, lower.imag
     # A complex sum of c * L over real L is, bit for bit, the pair of real
-    # sums of Re(c) * L and Im(c) * L (both start at +0).  `_laguerre_sums`
-    # sums each distinct nonzero row once: one per offset for a real,
-    # bit-symmetric rho (the heated state's diagonals at offsets 1-3 differ
-    # from their transposes by rounding, so it sums 8 rows for 5 offsets).
-    radial = _laguerre_sums(offsets * 4, coef.reshape(-1, dim), 2.0 * r2,
-                            envelope).reshape(2, 2, len(offsets), r2.size)
-    sums = np.empty((2, len(offsets), r2.size), dtype=complex)  # lower, upper
-    sums.real, sums.imag = radial[:, 0], radial[:, 1]
+    # sums of Re(c) * L and Im(c) * L (both start at +0).
+    radial = _laguerre_sums(offsets * 2, coef.reshape(-1, dim), 2.0 * r2,
+                            envelope).reshape(2, len(offsets), r2.size)
+    sums = np.empty((len(offsets), r2.size), dtype=complex)
+    sums.real, sums.imag = radial
 
     w = np.zeros(qg.shape, dtype=complex)
     base = np.sqrt(2.0) * (qg - 1j * pg)  # 2 conj(alpha)
-    for (acc_lower, acc_upper), off in zip(sums.swapaxes(0, 1), offsets):
+    for acc, off in zip(sums, offsets):
         if off == 0:
-            w += acc_lower[inv]
+            w += acc[inv]
         else:
-            factor = base ** off
-            w += factor * acc_lower[inv] + np.conj(factor) * acc_upper[inv]
-    w /= math.pi
-    imag_max = float(np.abs(w.imag).max())
-    if imag_max > 1e-10:
-        raise ValueError(f"Wigner values not real: max imaginary residue "
-                         f"{imag_max:.3e} (input not Hermitian?)")
+            w += 2 * (base ** off * acc[inv]).real
+    w /= math.pi  # complex division, which rounds unlike w.real / math.pi
     return w.real
 
 
 def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
                         widen: bool | None = None) -> WignerGrid:
-    """Wigner function of a single-mode density matrix on a (q, p) grid.
+    """Wigner function of any Hermitian single-mode density matrix on a
+    (q, p) grid; ValueError if max |rho - rho^+| > 1e-10.
 
     When no grid is given, the default [-8, 8]^2 / 257^2 grid is used and
     the bounds are doubled (up to [-32, 32]^2) until the Riemann sum of W
@@ -611,13 +599,17 @@ def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
     """
     if rho.mode_count != 1:
         raise ValueError("wigner_from_density expects a single-mode matrix")
+    residual = float(np.abs(rho.data - rho.data.conj().T).max())
+    if not residual <= 1e-10:  # also rejects NaN
+        raise ValueError(f"density matrix not Hermitian: max |rho - rho^+| "
+                         f"= {residual:.3e} > 1e-10")
     if widen is None:
         widen = grid is None
     spec = grid if grid is not None else GridSpec()
     target = float(np.trace(rho.data).real)
     attempts = 0
     while True:
-        result = WignerGrid(spec, _wigner_values(np.asarray(rho.data), spec))
+        result = WignerGrid(spec, _wigner_values(rho.data, spec))
         error = abs(result.integral() - target)
         if not widen or error <= GRID_TOL_DEFAULT:
             return result

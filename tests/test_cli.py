@@ -256,6 +256,36 @@ def test_bad_config_value_rejected(tmp_path, capsys, line, message):
     assert "Traceback" not in err and "_parse_" not in err
 
 
+def exit_code(argv) -> int:
+    """cli.main's exit status, whether it returns it or argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--config", "{tmp}/missing.cfg"],
+     "No such file or directory: '{tmp}/missing.cfg'"),
+    (["verify", "--config", "{tmp}"], "Is a directory: '{tmp}'"),
+    (["verify", "--out", "{tmp}/missing/v.json"],
+     "thermoqubit verify: cannot write {tmp}/missing/v.json: "
+     "No such file or directory"),
+    (["wigner-grid", "--out", "{tmp}/missing/w.csv"],
+     "thermoqubit wigner-grid: cannot write {tmp}/missing/w.csv: "
+     "No such file or directory"),
+], ids=["config-missing", "config-directory", "verify-out", "wigner-out"])
+def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    # exit 1 is a failed verify check; a file that cannot be read or
+    # written is a usage error, on one line after argparse's usage line
+    assert exit_code([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if not line.startswith("usage:")]
+    assert len(lines) == 1 and message.format(tmp=tmp_path) in lines[0]
+    assert "Traceback" not in err
+
+
 # numerical limits: n_bar past the cutoff cap, a grid that cannot be widened
 # enough (forced by a normalization tolerance no grid meets)
 LIMIT_CASES = [

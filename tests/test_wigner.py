@@ -307,14 +307,28 @@ def hollow_density():
     return rho
 
 
+def hermitian_completion(rho):
+    """The Hermitian matrix with rho's lower triangle: what the kernel,
+    which reads only that triangle, takes rho to be."""
+    return np.tril(rho) + np.tril(rho, -1).conj().T
+
+
+def assert_kernel_matches_per_offset_loop(rho, grid):
+    got = _wigner_values(rho, grid)
+    q, p = grid.q_axis(), grid.p_axis()
+    assert_bit_identical(got, wigner_by_offset(hermitian_completion(rho), q, p))
+    # rho is Hermitian only to rounding: summing both its triangles moves W
+    # by no more than that
+    raw = wigner_by_offset(rho, q, p)
+    assert np.abs(got - raw).max() <= 1e-15 * np.abs(got).max()
+
+
 @pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("grid", DEFAULT_GRIDS, ids=["8", "16", "32"])
 def test_kernel_matches_per_offset_loop_heated(n_bar, grid):
     # the heated state has 5 nonzero diagonals; on [-32, 32]^2 the envelope
     # underflows on 28,576 of the 66,049 points
-    rho = heated_rho(n_bar).data
-    assert_bit_identical(_wigner_values(rho, grid),
-                         wigner_by_offset(rho, grid.q_axis(), grid.p_axis()))
+    assert_kernel_matches_per_offset_loop(heated_rho(n_bar).data, grid)
 
 
 @pytest.mark.parametrize("rho", [random_complex_density(6, seed=7),
@@ -322,8 +336,49 @@ def test_kernel_matches_per_offset_loop_heated(n_bar, grid):
                          ids=["all-diagonals", "zero-interior-diagonal"])
 @pytest.mark.parametrize("grid", [GRID6, DEFAULT_GRIDS[2]], ids=["6", "32"])
 def test_kernel_matches_per_offset_loop_complex(rho, grid):
-    assert_bit_identical(_wigner_values(rho, grid),
-                         wigner_by_offset(rho, grid.q_axis(), grid.p_axis()))
+    assert_kernel_matches_per_offset_loop(rho, grid)
+
+
+def test_non_hermitian_density_rejected_before_kernel(monkeypatch):
+    data = np.array(heated_rho(1.0).data)
+    data[3, 1] += 1e-8
+    grids = counted_kernel(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        wigner_from_density(FockMatrix(data, data.shape[0] - 1))
+    assert str(err.value) == ("density matrix not Hermitian: "
+                              "max |rho - rho^+| = 1.000e-08 > 1e-10")
+    assert grids == []
+
+
+def laguerre_rows_per_pass(monkeypatch) -> list:
+    """The number of nonzero rows of each `_laguerre_sums` call from now
+    on: one real and one imaginary row per nonzero lower diagonal."""
+    counts = []
+    sums = observables._laguerre_sums
+
+    def counted(ks, coef, arg, envelope):
+        counts.append(int(np.count_nonzero(coef.any(axis=1))))
+        return sums(ks, coef, arg, envelope)
+
+    monkeypatch.setattr(observables, "_laguerre_sums", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
+def test_heated_density_accepted_with_one_row_per_offset(monkeypatch, n_bar):
+    # the heated rho's transposed diagonals differ by rounding, yet its
+    # real lower diagonals give one row each
+    rho = heated_rho(n_bar).data
+    assert 0.0 < np.abs(rho - rho.conj().T).max() < 1e-15
+    counts = laguerre_rows_per_pass(monkeypatch)
+    wigner_from_density(heated_rho(n_bar))
+    assert counts and counts == [5] * len(counts)
+
+
+def test_complex_density_rows_per_pass(monkeypatch):
+    counts = laguerre_rows_per_pass(monkeypatch)
+    _wigner_values(random_complex_density(6, seed=7), GRID6)
+    assert len(counts) == 1 and counts[0] <= 12
 
 
 def test_deterministic_values():
