@@ -1,16 +1,24 @@
 """Command-line front end: temperature sweeps, Wigner grids and the
 verification suite, emitting CSV/JSON suitable for plotting and CI.
 
-Subcommands: sweep-fidelity, sweep-mandel, wigner-grid, verify.
+Subcommands and the flags each reads (`_SUBCOMMANDS`), all with --config:
+  sweep-fidelity, sweep-mandel  --amps --nbar-range --cutoff --tail-tol
+                                --out --format
+  wigner-grid                   --amps --nbar --cutoff --tail-tol --grid
+                                --out --format
+  verify                        --amps --out
+A config file takes the same keys ("_" for "-"); any other flag or key,
+or an abbreviated flag, is a usage error.
 CSV/JSON rows carry floats as %.9e so identical configurations always
 produce byte-identical rows; the wigner-grid sidecar and the verify
 report carry repr floats, whose last digit shows a rounding move.
 
 Exit status: 0 on success, 1 when a `verify` check fails, 2 for a usage
-error or an unreadable or unwritable file, 3 when a numerical limit is
-hit (no cutoff reaches the tail tolerance, or the Wigner grid cannot be
-widened enough); errors are one line on stderr and nothing is written to
---out.
+error (amplitudes whose norm overflows included) or an unreadable or
+unwritable file, 3 when a numerical limit is hit (no cutoff reaches the
+tail tolerance, n_bar >= ~9.007e15 included, the Wigner grid cannot be
+widened enough, or W is not finite on the grid); errors are one line on
+stderr and nothing is written to --out.
 """
 
 from __future__ import annotations
@@ -220,15 +228,24 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
     cutoff = cfg.resolved_cutoff(n_bar)
-    try:
-        _, numeric = observables.heated_wigner(cfg.amps, params, cutoff,
-                                               cfg.grid)
-    except GridWideningError as exc:
-        raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
-    closed, report = observables.wigner_closed_form(cfg.amps, params, numeric,
-                                                    cutoff)
-
+    # far enough out, a grid's powers of q and p overflow: the values are
+    # checked below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            _, numeric = observables.heated_wigner(cfg.amps, params, cutoff,
+                                                   cfg.grid)
+        except GridWideningError as exc:
+            raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
+        closed, report = observables.wigner_closed_form(cfg.amps, params,
+                                                        numeric, cutoff)
     spec = closed.spec
+    if not (np.isfinite(numeric.values).all()
+            and np.isfinite(closed.values).all()):
+        raise FloatingPointError(
+            f"Wigner function not finite on the grid {spec.q_min}:"
+            f"{spec.q_max}:{spec.nq},{spec.p_min}:{spec.p_max}:{spec.np} "
+            f"at n_bar = {n_bar}")
+
     writer = _wigner_csv if cfg.format == "csv" else _wigner_json
     text = writer(spec.q_axis(), spec.p_axis(), numeric.values, closed.values)
     _write_text(cfg.out, text)
@@ -371,82 +388,67 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_PARSERS = {
-    "amps": _parse_amps,
-    "nbar_range": _parse_nbar_range,
-    "nbar": _parse_nbar,
-    "cutoff": _parse_cutoff,
-    "tail_tol": _parse_tail_tol,
-    "grid": _parse_grid,
-    "out": str,
-    "format": str,
+# Each option once: its parser (for the flag and the config key alike),
+# the flag's help and choices.  The flag is --key with "-" for "_".
+_OPTIONS = {
+    "amps": (_parse_amps, "x,y,z,w (or 8 re,im values) amplitudes", None),
+    "nbar_range": (_parse_nbar_range, "sweep range start:end:steps", None),
+    "nbar": (_parse_nbar, "single occupation value", None),
+    "cutoff": (_parse_cutoff, "Fock cutoff, integer or 'auto'", None),
+    "tail_tol": (_parse_tail_tol, "truncation tail tolerance", None),
+    "grid": (_parse_grid, "phase-space grid qmin:qmax:nq,pmin:pmax:np", None),
+    "out": (str, "output path ('-' for stdout)", None),
+    "format": (str, "output format", ("csv", "json")),
+}
+
+_SWEEP_OPTIONS = ("amps", "nbar_range", "cutoff", "tail_tol", "out", "format")
+# subcommand: (help, the options it reads, besides --config)
+_SUBCOMMANDS = {
+    "sweep-fidelity": ("fidelity vs n_bar sweep (CSV/JSON)", _SWEEP_OPTIONS),
+    "sweep-mandel": ("Mandel Q vs n_bar sweep with regime labels",
+                     _SWEEP_OPTIONS),
+    "wigner-grid": ("Wigner function grid at one n_bar, plus sidecar",
+                    ("amps", "nbar", "cutoff", "tail_tol", "grid", "out",
+                     "format")),
+    "verify": ("run the cross-oracle verification suite", ("amps", "out")),
 }
 
 
 def _build_config(args) -> SweepConfig:
     # precedence: flags > config file > defaults
+    keys = _SUBCOMMANDS[args.command][1]
     merged = {}
-    if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        for key, val in raw.items():
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_PARSERS[key](val)
-    for key in _CONFIG_PARSERS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
+    if args.config:
+        for key, val in _read_config_file(args.config).items():
+            if key not in keys:
+                raise ValueError(
+                    f"{args.command} does not read config key {key!r}")
+            merged[key] = _OPTIONS[key][0](val)
+    for key in keys:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
 
-    kwargs = {}
-    if "amps" in merged:
-        kwargs["amps"] = merged["amps"]
     if "nbar_range" in merged:
-        start, end, steps = merged["nbar_range"]
-        kwargs.update(n_bar_start=start, n_bar_end=end, n_bar_steps=steps)
+        merged["n_bar_start"], merged["n_bar_end"], merged["n_bar_steps"] = \
+            merged.pop("nbar_range")
     if "nbar" in merged:
-        kwargs["n_bar"] = merged["nbar"]
-    for key in ("cutoff", "tail_tol", "grid", "out", "format"):
-        if key in merged:
-            kwargs[key] = merged[key]
-    return SweepConfig(**kwargs)
-
-
-def _add_shared_flags(sub):
-    sub.add_argument("--amps", type=_parse_amps, default=None,
-                     help="x,y,z,w (or 8 re,im values) amplitudes")
-    sub.add_argument("--nbar-range", dest="nbar_range",
-                     type=_parse_nbar_range, default=None,
-                     help="sweep range start:end:steps")
-    sub.add_argument("--nbar", type=_parse_nbar, default=None,
-                     help="single occupation value")
-    sub.add_argument("--cutoff", type=_parse_cutoff, default=None,
-                     help="Fock cutoff, integer or 'auto'")
-    sub.add_argument("--tail-tol", dest="tail_tol", type=_parse_tail_tol,
-                     default=None,
-                     help="truncation tail tolerance")
-    sub.add_argument("--grid", type=_parse_grid, default=None,
-                     help="phase-space grid qmin:qmax:nq,pmin:pmax:np")
-    sub.add_argument("--out", type=str, default=None,
-                     help="output path ('-' for stdout)")
-    sub.add_argument("--format", type=str, default=None,
-                     choices=("csv", "json"), help="output format")
-    sub.add_argument("--config", type=str, default=None,
-                     help="flat key=value config file")
+        merged["n_bar"] = merged.pop("nbar")
+    return SweepConfig(**merged)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: --nbar would otherwise pass as a prefix of --nbar-range
     parser = argparse.ArgumentParser(
-        prog="thermoqubit",
+        prog="thermoqubit", allow_abbrev=False,
         description="Temperature diagnostics for a bosonic CNOT qubit encoding")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sweep-fidelity", "fidelity vs n_bar sweep (CSV/JSON)"),
-        ("sweep-mandel", "Mandel Q vs n_bar sweep with regime labels"),
-        ("wigner-grid", "Wigner function grid at one n_bar, plus sidecar"),
-        ("verify", "run the cross-oracle verification suite"),
-    ):
-        sub = subs.add_parser(name, help=help_text)
-        _add_shared_flags(sub)
+    for name, (help_text, keys) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for key in keys:
+            parse, flag_help, choices = _OPTIONS[key]
+            sub.add_argument("--" + key.replace("_", "-"), type=parse,
+                             help=flag_help, choices=choices)
+        sub.add_argument("--config", help="flat key=value config file")
     return parser
 
 
@@ -474,7 +476,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             return cmd_verify(cfg)
-    except (CutoffError, GridWideningError) as exc:  # messages name the n_bar
+    except (CutoffError, GridWideningError, FloatingPointError) as exc:
+        # the messages name the n_bar
         sys.stderr.write(f"{parser.prog} {args.command}: numerical limit: "
                          f"{exc}\n")
         return EXIT_NUMERICAL_LIMIT

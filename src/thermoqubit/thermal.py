@@ -104,8 +104,12 @@ class PhysicalAmplitudes:
     w: complex
 
     def norm(self) -> float:
-        return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2
-                         + abs(self.z) ** 2 + abs(self.w) ** 2)
+        """Euclidean norm; inf when a squared modulus overflows."""
+        try:
+            return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2
+                             + abs(self.z) ** 2 + abs(self.w) ** 2)
+        except OverflowError:
+            return math.inf
 
     def require_normalized(self):
         if not abs(self.norm() - 1.0) <= _AMPLITUDE_TOL:  # also rejects NaN
@@ -200,23 +204,26 @@ def auto_cutoff(n_bar: float, tail_tol: float = TAIL_TOL_DEFAULT) -> int:
     if n_bar == 0:
         return _CUTOFF_FLOOR
     k1 = n_bar / (1.0 + n_bar)
-    # Quartic tail from index m, sum_{n >= m} k k1^n (n+1)...(n+4) / (24 u^8),
-    # in closed form: the negative-binomial tail
-    # sum_{n >= m} C(n+4, 4) x^n = x^m sum_{j=0}^{4} C(m+4, 4-j) x^j (1-x)^-(j+1)
-    # at x = k1, 1 - x = k, gives k1^m (1 + n_bar)^-4 sum_j C(m+4, 4-j) n_bar^j.
-    poly = _TAIL_BINOMIALS[4]
-    for j in range(3, -1, -1):
-        poly = poly * n_bar + _TAIL_BINOMIALS[j]
-    with np.errstate(under="ignore"):
-        tail = np.exp(_TAIL_INDEX * math.log(k1)) * poly / (1.0 + n_bar) ** 4
+    # k1 rounds to 1 from n_bar ~ 9.007e15: no cutoff passes, and neither
+    # the tail below nor log(1 - k1) can be evaluated
+    if k1 < 1.0:
+        # Quartic tail from index m, sum_{n >= m} k k1^n (n+1)...(n+4) / (24 u^8),
+        # in closed form: the negative-binomial tail
+        # sum_{n >= m} C(n+4, 4) x^n = x^m sum_{j=0}^{4} C(m+4, 4-j) x^j (1-x)^-(j+1)
+        # at x = k1, 1 - x = k, gives k1^m (1 + n_bar)^-4 sum_j C(m+4, 4-j) n_bar^j.
+        poly = _TAIL_BINOMIALS[4]
+        for j in range(3, -1, -1):
+            poly = poly * n_bar + _TAIL_BINOMIALS[j]
+        with np.errstate(under="ignore"):
+            tail = np.exp(_TAIL_INDEX * math.log(k1)) * poly / (1.0 + n_bar) ** 4
 
-    cand = _CUTOFF_CANDIDATES
-    # written as "not failing" so a NaN comparison passes, as it always has
-    ok = ~(((cand + 1) * math.log(k1) >= math.log(tail_tol * (1.0 - k1)))
-           | (tail >= tail_tol))
-    first = int(np.argmax(ok))
-    if ok[first]:
-        return int(cand[first])
+        cand = _CUTOFF_CANDIDATES
+        # written as "not failing" so a NaN comparison passes, as it always has
+        ok = ~(((cand + 1) * math.log(k1) >= math.log(tail_tol * (1.0 - k1)))
+               | (tail >= tail_tol))
+        first = int(np.argmax(ok))
+        if ok[first]:
+            return int(cand[first])
     raise CutoffError(
         f"no cutoff <= {CUTOFF_CAP} reaches tail tolerance {tail_tol} at "
         f"n_bar = {n_bar}"
@@ -233,7 +240,9 @@ def validate_cutoff(cutoff: int, params: ThermalParams,
     k1 = params.k1
     if k1 == 0.0:
         return
-    if (cutoff + 1) * math.log(k1) >= math.log(tail_tol * (1.0 - k1)):
+    # k1 rounds to 1 from n_bar ~ 9.007e15, where 1 - k1 has no logarithm
+    if k1 == 1.0 or (cutoff + 1) * math.log(k1) >= math.log(
+            tail_tol * (1.0 - k1)):
         raise CutoffError(
             f"cutoff {cutoff} leaves geometric tail mass above {tail_tol} "
             f"at n_bar = {params.n_bar}"

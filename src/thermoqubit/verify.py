@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fock, gates, observables, thermal
+from .errors import MandelUndefinedError
 
 DEFAULT_N_BARS = (0.0, 0.1, 0.3, 1.0, 10.0)
 GATE_RESIDUAL_N_BARS = (0.0, 0.2, 0.5)
@@ -233,8 +234,10 @@ def _wigner_checks(heated_checks, cold_neg, hot):
     yield _check("wigner_negativity_ordering",
                  0.0 if hot < cold_neg else hot - cold_neg, 0.0,
                  detail=f"neg(0.1)={cold_neg:.6e}, neg(10)={hot:.6e}")
-    yield _check("wigner_negativity_suppression",
-                 hot / cold_neg if cold_neg > 0 else math.inf, 0.1,
+    # both negativities 0 (the bare thermal state): nothing to suppress
+    ratio = (hot / cold_neg if cold_neg > 0
+             else math.inf if hot > 0 else 0.0)
+    yield _check("wigner_negativity_suppression", ratio, 0.1,
                  detail="hot/cold negativity ratio must stay below 10%")
 
 
@@ -247,13 +250,33 @@ def _closed_form_audits(amps, wigner_audits):
                      None, n_bar,
                      f"numeric={fid.value_numeric:.9e} "
                      f"closed={fid.value_closed_form:.9e}")
-        mandel = observables.mandel_closed_form(amps, params)
-        tol = 1e-9 if n_bar == 0.0 else None
-        yield _check("mandel_closed_form_audit", mandel.abs_discrepancy,
-                     tol, n_bar,
-                     f"numeric={mandel.value_numeric:.9e} "
-                     f"closed={mandel.value_closed_form:.9e}")
+        yield _mandel_audit(amps, params)
         yield wigner_audit
+
+
+def _mandel_audit(amps, params):
+    n_bar = params.n_bar
+    tol = 1e-9 if n_bar == 0.0 else None
+    try:
+        mandel = observables.mandel_closed_form(amps, params)
+    except MandelUndefinedError:
+        # Q is undefined where <N> = 0 (numeric route) or where
+        # c1 v^2 + c2 u^2 = 0 (printed route): they agree if both say so
+        point = np.array([n_bar])
+        numeric, closed = (math.isnan(q[0]) for q, _ in (
+            observables._mandel_values(amps, point,
+                                       [thermal.auto_cutoff(n_bar)]),
+            observables._mandel_series(amps, point)))
+        agree = numeric and closed
+        return CheckResult(
+            "mandel_closed_form_audit", agree, 0.0 if agree else math.inf,
+            tol, n_bar, "Q undefined by both routes" if agree else
+            f"Q undefined by the {'numeric' if numeric else 'printed'} "
+            f"route only")
+    return _check("mandel_closed_form_audit", mandel.abs_discrepancy,
+                  tol, n_bar,
+                  f"numeric={mandel.value_numeric:.9e} "
+                  f"closed={mandel.value_closed_form:.9e}")
 
 
 def run_verification(amps: thermal.PhysicalAmplitudes | None = None) -> dict:

@@ -146,6 +146,7 @@ GRID_ERROR = "grid bounds must be finite"
 AMPS_LAYOUT_ERROR = "amps expects x,y,z,w or 8 re,im values, got "
 GRID_LAYOUT_ERROR = "grid expects qmin:qmax:nq,pmin:pmax:np, got "
 RANGE_LAYOUT_ERROR = "n_bar range expects start:end:steps, got "
+UNREAD_ERROR = "unrecognized arguments: "
 COMPLEX_AMPS = "--amps=0.1,0.2,0.3,0.4,0.5,-0.2,0.1,0.6"
 BAD_ARGV = [
     (["wigner-grid", "--nbar", "nan"], NBAR_ERROR),
@@ -182,6 +183,26 @@ BAD_ARGV = [
     (["sweep-fidelity", "--nbar-range", "1:2"], RANGE_LAYOUT_ERROR + "'1:2'"),
     (["sweep-fidelity", "--nbar-range", "0:x:5"], NBAR_ERROR + ", got 'x'"),
     (["sweep-fidelity", "--tail-tol", "x"], TAIL_TOL_ERROR + ", got 'x'"),
+    # each subcommand takes only the flags it reads, and no abbreviations
+    *[([command, *flag], UNREAD_ERROR + " ".join(flag)) for command, flag in (
+        ("sweep-fidelity", ["--nbar", "1"]),
+        ("sweep-mandel", ["--nbar", "1"]),
+        ("sweep-fidelity", ["--grid=-1:1:3,-1:1:3"]),
+        ("sweep-mandel", ["--grid=-1:1:3,-1:1:3"]),
+        ("wigner-grid", ["--nbar-range", "0:1:5"]),
+        ("verify", ["--nbar-range", "0:1:5"]),
+        ("verify", ["--nbar", "1"]),
+        ("verify", ["--cutoff", "60"]),
+        ("verify", ["--tail-tol", "1e-12"]),
+        ("verify", ["--grid=-1:1:3,-1:1:3"]),
+        ("verify", ["--format", "csv"]),
+        ("sweep-fidelity", ["--nbar", "0:1:5"]),
+        ("wigner-grid", ["--tail", "1e-12"]),
+        ("sweep-mandel", ["--fo", "json"]),
+    )],
+    # |a|^2 overflows: the norm reads inf
+    (["sweep-fidelity", "--amps=1e160,1e160,0,0"], AMPS_ERROR),
+    (["sweep-mandel", "--amps=1e200,0,0,0,0,0,0,0"], AMPS_ERROR),
 ]
 
 
@@ -229,25 +250,41 @@ def test_complex_amps_still_sweep(tmp_path):
     assert rc == 0
 
 
-@pytest.mark.parametrize("line, message", [
-    ("tail_tol=1e-3", TAIL_TOL_ERROR),
-    ("cutoff=4", CUTOFF_ERROR),
-    ("nbar_range=0:1:1", STEPS_ERROR),
-    ("amps=nan,0,0,0", AMPS_ERROR),
-    ("amps=1,2,3", AMPS_LAYOUT_ERROR + "'1,2,3'"),
-    ("amps=1,x,0,0", AMPS_LAYOUT_ERROR + "'1,x,0,0'"),
-    ("grid=1:2:3", GRID_LAYOUT_ERROR + "'1:2:3'"),
-    ("nbar=x", NBAR_ERROR + ", got 'x'"),
-    ("nbar_range=1:2", RANGE_LAYOUT_ERROR + "'1:2'"),
-    ("nbar_range=0:x:5", NBAR_ERROR + ", got 'x'"),
-    ("tail_tol=x", TAIL_TOL_ERROR + ", got 'x'"),
+UNREAD_KEYS = [("sweep-fidelity", "nbar=1"), ("sweep-mandel", "nbar=1"),
+               ("sweep-fidelity", "grid=-1:1:3,-1:1:3"),
+               ("sweep-mandel", "grid=-1:1:3,-1:1:3"),
+               ("wigner-grid", "nbar_range=0:1:5"),
+               ("verify", "nbar_range=0:1:5"), ("verify", "nbar=1"),
+               ("verify", "cutoff=60"), ("verify", "tail_tol=1e-12"),
+               ("verify", "grid=-1:1:3,-1:1:3"), ("verify", "format=csv")]
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("sweep-fidelity", "tail_tol=1e-3", TAIL_TOL_ERROR),
+    ("sweep-fidelity", "cutoff=4", CUTOFF_ERROR),
+    ("sweep-fidelity", "nbar_range=0:1:1", STEPS_ERROR),
+    ("sweep-fidelity", "amps=nan,0,0,0", AMPS_ERROR),
+    ("sweep-fidelity", "amps=1,2,3", AMPS_LAYOUT_ERROR + "'1,2,3'"),
+    ("sweep-fidelity", "amps=1,x,0,0", AMPS_LAYOUT_ERROR + "'1,x,0,0'"),
+    ("wigner-grid", "grid=1:2:3", GRID_LAYOUT_ERROR + "'1:2:3'"),
+    ("wigner-grid", "nbar=x", NBAR_ERROR + ", got 'x'"),
+    ("sweep-fidelity", "nbar_range=1:2", RANGE_LAYOUT_ERROR + "'1:2'"),
+    ("sweep-fidelity", "nbar_range=0:x:5", NBAR_ERROR + ", got 'x'"),
+    ("sweep-fidelity", "tail_tol=x", TAIL_TOL_ERROR + ", got 'x'"),
+    ("sweep-mandel", "amps=1e300,1e300,0,0", AMPS_ERROR),
+    *[(command, line, f"{command} does not read config key "
+                      f"{line.partition('=')[0]!r}")
+      for command, line in UNREAD_KEYS],
 ], ids=["tail_tol", "cutoff", "nbar_range", "amps", "amps-3", "amps-x",
-        "grid-layout", "nbar-x", "nbar_range-2", "nbar_range-x", "tail_tol-x"])
-def test_bad_config_value_rejected(tmp_path, capsys, line, message):
+        "grid-layout", "nbar-x", "nbar_range-2", "nbar_range-x", "tail_tol-x",
+        "amps-overflow"]
+    + [f"unread-{command}-{line.partition('=')[0]}"
+       for command, line in UNREAD_KEYS])
+def test_bad_config_value_rejected(tmp_path, capsys, command, line, message):
     conf = tmp_path / "run.conf"
     conf.write_text(line + "\n")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep-fidelity", "--config", str(conf),
+        cli.main([command, "--config", str(conf),
                   "--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == [conf]
@@ -299,13 +336,25 @@ LIMIT_CASES = [
       "--tail-tol", "1e-14"], {}, "n_bar = 5.0"),
     (["wigner-grid", "--nbar", "0.1"], {"GRID_TOL_DEFAULT": 0.0},
      "n_bar = 0.1"),
+    # k1 = n_bar / (1 + n_bar) rounds to 1, and (1 + n_bar)^4 overflows
+    (["wigner-grid", "--nbar", "1e16"], {}, "n_bar = 1e+16"),
+    (["wigner-grid", "--nbar", "1e16", "--cutoff", "100"], {},
+     "n_bar = 1e+16"),
+    (["wigner-grid", "--nbar", "1e100"], {}, "n_bar = 1e+100"),
+    (["sweep-mandel", "--nbar-range", "0:1e300:3"], {}, "n_bar = 5e+299"),
+    # far out, the powers of q overflow: W is not finite
+    (["wigner-grid", "--nbar", "1", "--grid=-1e80:1e80:3,-1:1:3"], {},
+     "grid -1e+80:1e+80:3,-1.0:1.0:3 at n_bar = 1.0"),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, patch, message", LIMIT_CASES,
     ids=["cutoff-fidelity", "cutoff-mandel", "cutoff-wigner",
-         "explicit-cutoff", "explicit-cutoff-tail-tol", "grid-widening"])
+         "explicit-cutoff", "explicit-cutoff-tail-tol", "grid-widening",
+         "k1-one", "k1-one-cutoff", "k1-one-overflow", "k1-one-sweep",
+         "grid-overflow"])
 def test_numerical_limit_exit_code(tmp_path, capsys, monkeypatch,
                                    argv, patch, message):
     for name, value in patch.items():
@@ -543,6 +592,18 @@ def test_verify_green(verify_report):
     assert rc == 0
     assert report["all_passed"] is True
     assert report["counts"]["failed"] == 0
+
+
+def test_verify_bare_thermal_state(tmp_path, verify_report):
+    # logical |00>: Q is undefined on both routes at n_bar = 0, and neither
+    # Wigner function has negativity to suppress
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--amps=1,0,0,0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    _, default = verify_report
+    assert ([c["name"] for c in report["checks"]]
+            == [c["name"] for c in default["checks"]])
+    assert report["counts"] == default["counts"]
 
 
 def test_verify_evaluates_each_wigner_grid_once(monkeypatch):

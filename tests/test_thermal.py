@@ -33,6 +33,7 @@ from thermoqubit.thermal import (
     thermal_state_density_operator,
     thermal_superposition_state,
     thermal_vacuum_density,
+    validate_cutoff,
 )
 
 RNG = np.random.default_rng(987)
@@ -117,8 +118,13 @@ def test_auto_cutoff_grows_with_occupation():
 
 
 def test_cutoff_cap_error():
-    with pytest.raises(CutoffError):
-        auto_cutoff(200.0)  # k1 = 200/201 cannot reach 1e-10 below the cap
+    # k1 = 200/201 cannot reach 1e-10 below the cap; from n_bar ~ 9.007e15
+    # k1 rounds to 1, and from ~1.158e77 (1 + n_bar)^4 overflows
+    for n_bar in (200.0, 1e16, 1e300):
+        with pytest.raises(CutoffError, match="no cutoff <= 512"):
+            auto_cutoff(n_bar)
+    with pytest.raises(CutoffError, match="leaves geometric tail mass"):
+        validate_cutoff(100, ThermalParams.from_mean_occupation(1e16))
 
 
 def _auto_cutoff_loop(n_bar, tail_tol):
