@@ -2,11 +2,10 @@
 verification suite, emitting CSV/JSON suitable for plotting and CI.
 
 Subcommands and the flags each reads (`_SUBCOMMANDS`), all with --config:
-  sweep-fidelity, sweep-mandel  --amps --nbar-range --cutoff --tail-tol
-                                --out --format
-  wigner-grid                   --amps --nbar --cutoff --tail-tol --grid
-                                --out --format
-  verify                        --amps --out
+  sweep-fidelity  --amps --nbar-range --out --format
+  sweep-mandel    --amps --nbar-range --cutoff --tail-tol --out --format
+  wigner-grid     --amps --nbar --cutoff --tail-tol --grid --out --format
+  verify          --amps --out
 A config file takes the same keys ("_" for "-"); any other flag or key,
 or an abbreviated flag, is a usage error.
 CSV/JSON rows carry floats as %.9e so identical configurations always
@@ -16,9 +15,10 @@ report carry repr floats, whose last digit shows a rounding move.
 Exit status: 0 on success, 1 when a `verify` check fails, 2 for a usage
 error (amplitudes whose norm overflows included) or an unreadable or
 unwritable file, 3 when a numerical limit is hit (no cutoff reaches the
-tail tolerance, n_bar >= ~9.007e15 included, the Wigner grid cannot be
-widened enough, or W is not finite on the grid); errors are one line on
-stderr and nothing is written to --out.
+tail tolerance, n_bar >= ~9.007e15 included, the fidelity series' u^8
+overflows, the Wigner grid cannot be widened enough, or W is not finite
+on the grid); errors are one line on stderr and nothing is written to
+--out.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class SweepConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.n_bar_start < 0:
-            raise ValueError("n_bar range must start at 0 or above")
+        observables._block_n_bar([self.n_bar_start, self.n_bar_end])
         if self.n_bar_steps < 2:
             raise ValueError("a sweep needs at least 2 points")
         if self.format not in ("csv", "json"):
@@ -142,34 +141,14 @@ def _wigner_json(q: np.ndarray, p: np.ndarray, numeric: np.ndarray,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cutoff_blocks(cfg: SweepConfig):
-    """The sweep's n_bar values in blocks of at most _SWEEP_BLOCK, each with
-    the cutoffs of its points, resolved point by point.
-
-    A point whose cutoff fails ends the sweep as it would point by point:
-    the points before it are yielded (and evaluated) first, then its
-    CutoffError is raised.
-    """
-    values = cfg.n_bar_values()
-    for start in range(0, len(values), _SWEEP_BLOCK):
-        n_bar = values[start: start + _SWEEP_BLOCK]
-        cutoffs = []
-        try:
-            for value in n_bar.tolist():
-                cutoffs.append(cfg.resolved_cutoff(value))
-        except CutoffError:
-            if cutoffs:
-                yield n_bar[: len(cutoffs)], cutoffs
-            raise
-        yield n_bar, cutoffs
-
-
 def _sweep_columns(cfg: SweepConfig, reader) -> list[np.ndarray]:
     """n_bar and the (numeric, closed form, discrepancy) columns of `reader`
-    (called once per block with the amplitudes, n_bar and the cutoffs)
-    over the whole sweep."""
-    blocks = [(n_bar, *reader(cfg.amps, n_bar, cutoffs))
-              for n_bar, cutoffs in _cutoff_blocks(cfg)]
+    (called with each block of at most _SWEEP_BLOCK n_bar values) over the
+    whole sweep."""
+    values = cfg.n_bar_values()
+    blocks = [(n_bar, *reader(n_bar)) for n_bar in
+              (values[i: i + _SWEEP_BLOCK]
+               for i in range(0, len(values), _SWEEP_BLOCK))]
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
@@ -181,7 +160,7 @@ def cmd_sweep_fidelity(cfg: SweepConfig) -> str:
     along a descending sweep; a violation beyond 1e-10 aborts the run.
     """
     columns = _sweep_columns(
-        cfg, lambda amps, n_bar, _: observables.fidelity_columns(amps, n_bar))
+        cfg, lambda n_bar: observables.fidelity_columns(cfg.amps, n_bar))
     numeric = columns[1].tolist()
     ascending = cfg.n_bar_end >= cfg.n_bar_start
     for i in range(1, len(numeric)):
@@ -209,8 +188,13 @@ def _regime(q: float) -> str:
 
 
 def cmd_sweep_mandel(cfg: SweepConfig) -> str:
-    """n_bar sweep of numeric and closed-form Mandel Q with regime labels."""
-    columns = _sweep_columns(cfg, observables.mandel_columns)
+    """n_bar sweep of numeric and closed-form Mandel Q with regime labels;
+    a block's cutoffs are resolved in order before it is read."""
+    def reader(n_bar):
+        cutoffs = [cfg.resolved_cutoff(value) for value in n_bar.tolist()]
+        return observables.mandel_columns(cfg.amps, n_bar, cutoffs)
+
+    columns = _sweep_columns(cfg, reader)
     rows = [[_fmt(nb), _fmt(qn), _fmt(qc), _fmt(d), _regime(qn)]
             for nb, qn, qc, d in zip(*(c.tolist() for c in columns))]
     header = ["n_bar", "q_numeric", "q_closed_form", "discrepancy", "regime"]
@@ -401,12 +385,13 @@ _OPTIONS = {
     "format": (str, "output format", ("csv", "json")),
 }
 
-_SWEEP_OPTIONS = ("amps", "nbar_range", "cutoff", "tail_tol", "out", "format")
 # subcommand: (help, the options it reads, besides --config)
 _SUBCOMMANDS = {
-    "sweep-fidelity": ("fidelity vs n_bar sweep (CSV/JSON)", _SWEEP_OPTIONS),
+    "sweep-fidelity": ("fidelity vs n_bar sweep (CSV/JSON)",
+                       ("amps", "nbar_range", "out", "format")),
     "sweep-mandel": ("Mandel Q vs n_bar sweep with regime labels",
-                     _SWEEP_OPTIONS),
+                     ("amps", "nbar_range", "cutoff", "tail_tol", "out",
+                      "format")),
     "wigner-grid": ("Wigner function grid at one n_bar, plus sidecar",
                     ("amps", "nbar", "cutoff", "tail_tol", "grid", "out",
                      "format")),

@@ -19,9 +19,9 @@ The numeric paths read only the entries of rho they need, from the same
 ladder families as `thermal_state_density_expansion`: the fidelity the
 leading 5 x 5 block (the target lives on |0>, |1>, |2>, |4>), Mandel Q the
 diagonal.  Only the Wigner function builds the full matrix.  The 5 x 5
-block's entries do not depend on the cutoff, so the numeric fidelity
-does not either (it returns the same bits at cutoff 51 and 512 at
-n_bar = 1); its cutoff only decides whether CutoffError is raised.
+block's entries do not depend on the cutoff, so the fidelity takes
+none: it has no cutoff cap, and its only limit is the printed series'
+u^8 = (1 + n_bar)^4, which overflows from n_bar ~ 1.2e77.
 
 Fidelity and Mandel Q are evaluated in blocks of n_bar: `fidelity_columns`
 and `mandel_columns` return the numeric, closed-form and discrepancy
@@ -147,8 +147,8 @@ class WignerGrid:
 class ObservableReport:
     """Numeric value, closed-form value and their absolute discrepancy.
 
-    `params` echoes the inputs (amplitudes, n_bar, cutoff, tolerances) and
-    any extra diagnostics a caller attaches.
+    `params` echoes the inputs (amplitudes, n_bar and the cutoff of a
+    truncated route) and any extra diagnostics a caller attaches.
     """
 
     value_numeric: float
@@ -168,14 +168,24 @@ class ObservableReport:
 
 
 def _echo_params(amps: PhysicalAmplitudes, params: ThermalParams,
-                 cutoff, **extra) -> dict:
+                 **extra) -> dict:
     out = {
         "amps": [repr(a) for a in amps.as_tuple()],
         "n_bar": params.n_bar,
-        "cutoff": cutoff,
     }
     out.update(extra)
     return out
+
+
+def _block_n_bar(n_bar) -> np.ndarray:
+    """A block reader's n_bar as a float array; ValueError at the first
+    value that is not finite and nonnegative."""
+    n_bar = np.asarray(n_bar, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(n_bar) & (n_bar >= 0.0)))
+    if bad.size:
+        raise ValueError(f"n_bar must be finite and nonnegative, got "
+                         f"{float(n_bar[bad[0]])}")
+    return n_bar
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +211,11 @@ def _fidelity_values(amps: PhysicalAmplitudes, n_bar: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def fidelity_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
-                     cutoff=None) -> float:
-    """sqrt(<Psi| rho |Psi>) between the pure target and its heated state.
-
-    Only rho's leading 5 x 5 block is read, and its entries do not depend
-    on the cutoff: the cutoff is resolved (selected or validated) only so
-    that an n_bar past the cap still raises CutoffError.
-    """
+def fidelity_numeric(amps: PhysicalAmplitudes, params: ThermalParams
+                     ) -> float:
+    """sqrt(<Psi| rho |Psi>) between the pure target and its heated state,
+    from rho's leading 5 x 5 block, whose entries take no cutoff."""
     amps.require_normalized()
-    resolve_cutoff(cutoff, params)
     return float(_fidelity_values(amps, np.array([params.n_bar]))[0])
 
 
@@ -281,19 +286,27 @@ def fidelity_columns(amps: PhysicalAmplitudes, n_bar
 
     The values are those `fidelity_closed_form` reports point by point,
     bit for bit.  No cutoff is taken: the numeric path reads only the
-    cutoff-free 5 x 5 block, so a caller resolves each point's cutoff
-    itself when it needs the CutoffError.  Raises ArithmeticError at the
-    first point whose fidelity^2 exceeds 1 beyond tolerance.
+    cutoff-free 5 x 5 block.  Raises ValueError at the first n_bar that is
+    not finite and nonnegative, FloatingPointError at the first whose
+    u^8 overflows, and ArithmeticError at the first point whose
+    fidelity^2 exceeds 1 beyond tolerance.
     """
     amps.require_normalized()
-    n_bar = np.asarray(n_bar, dtype=float)
+    n_bar = _block_n_bar(n_bar)
+    for value in n_bar.tolist():
+        # u^8, the series' highest power, as `_float_pow` computes it
+        try:
+            math.sqrt(1.0 + value) ** 8
+        except OverflowError:
+            raise FloatingPointError(f"u^8 = (1 + n_bar)^4 overflows at "
+                                     f"n_bar = {value}") from None
     closed = _fidelity_series(amps, n_bar)
     numeric = _fidelity_values(amps, n_bar)
     return numeric, closed, np.abs(numeric - closed)
 
 
-def fidelity_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
-                         cutoff=None) -> ObservableReport:
+def fidelity_closed_form(amps: PhysicalAmplitudes, params: ThermalParams
+                         ) -> ObservableReport:
     """Audit of the published closed-form fidelity against the numeric path.
 
     The printed series is summed verbatim and square-rooted; the report
@@ -302,11 +315,9 @@ def fidelity_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     from the numeric value (it disagrees even at zero temperature, where
     the fidelity is exactly 1).
     """
-    amps.require_normalized()
-    cutoff = resolve_cutoff(cutoff, params)
     numeric, closed, _ = fidelity_columns(amps, [params.n_bar])
-    return ObservableReport.compare(
-        numeric[0], closed[0], _echo_params(amps, params, cutoff))
+    return ObservableReport.compare(numeric[0], closed[0],
+                                    _echo_params(amps, params))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +410,11 @@ def mandel_columns(amps: PhysicalAmplitudes, n_bar, cutoffs
     The values are those `mandel_closed_form` reports point by point, bit
     for bit.  Where either form is undefined (a zero-occupation state,
     where the point-by-point functions raise MandelUndefinedError) all
-    three are NaN.  The cutoffs are taken as given, not validated.
+    three are NaN.  The cutoffs are taken as given, not validated; an n_bar
+    that is not finite and nonnegative raises ValueError.
     """
     amps.require_normalized()
-    n_bar = np.asarray(n_bar, dtype=float)
+    n_bar = _block_n_bar(n_bar)
     closed, den = _mandel_series(amps, n_bar)
     numeric, mean_n = _mandel_values(amps, n_bar, cutoffs)
     undefined = (den < _MEAN_OCCUPATION_EPS) | (mean_n < _MEAN_OCCUPATION_EPS)
@@ -434,7 +446,7 @@ def mandel_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     cutoff = resolve_cutoff(cutoff, params)
     numeric = mandel_numeric(amps, params, cutoff)
     return ObservableReport.compare(
-        numeric, closed[0], _echo_params(amps, params, cutoff))
+        numeric, closed[0], _echo_params(amps, params, cutoff=cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +841,7 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     report = ObservableReport.compare(
         numeric.integral(), closed.integral(),
         _echo_params(
-            amps, params, cutoff,
+            amps, params, cutoff=cutoff,
             max_abs_discrepancy=float(np.abs(diff).max()),
             l1_discrepancy=float(np.abs(diff).sum() * spec.cell_area),
             closed_form_scale=CLOSED_FORM_WIGNER_SCALE,

@@ -97,16 +97,16 @@ def _density_checks(amps, params, cutoff, rho_exp):
                  1e-10, n_bar)
 
     yield _check("fidelity_phase_invariance",
-                 _phase_invariance_residual(amps, params, cutoff),
+                 _phase_invariance_residual(amps, params),
                  1e-10, n_bar)
 
 
-def _phase_invariance_residual(amps, params, cutoff):
-    base = observables.fidelity_numeric(amps, params, cutoff)
+def _phase_invariance_residual(amps, params):
+    base = observables.fidelity_numeric(amps, params)
     phase = complex(math.cos(0.7), math.sin(0.7))
     rotated = thermal.PhysicalAmplitudes(
         *(phase * a for a in amps.as_tuple()))
-    return abs(observables.fidelity_numeric(rotated, params, cutoff) - base)
+    return abs(observables.fidelity_numeric(rotated, params) - base)
 
 
 def _gate_checks(amps, rng):

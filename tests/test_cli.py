@@ -157,15 +157,15 @@ BAD_ARGV = [
     (["sweep-mandel", "--nbar-range=-1:2:3"], NBAR_ERROR),
     (["sweep-mandel", "--nbar-range", "nan:1:3"], NBAR_ERROR),
     # a looser tail_tol fails later in the density builders' own check
-    (["sweep-fidelity", "--nbar-range", "0:5:3", "--tail-tol", "1e-3"],
+    (["sweep-mandel", "--nbar-range", "0:5:3", "--tail-tol", "1e-3"],
      TAIL_TOL_ERROR),
-    (["sweep-fidelity", "--tail-tol", "nan"], TAIL_TOL_ERROR),
+    (["sweep-mandel", "--tail-tol", "nan"], TAIL_TOL_ERROR),
     (["sweep-mandel", "--tail-tol", "0"], TAIL_TOL_ERROR),
     (["wigner-grid", "--tail-tol=-1e-12"], TAIL_TOL_ERROR),
-    (["sweep-fidelity", "--cutoff", "-3"], CUTOFF_ERROR),
+    (["sweep-mandel", "--cutoff", "-3"], CUTOFF_ERROR),
     (["sweep-mandel", "--cutoff", "7"], CUTOFF_ERROR),
     (["wigner-grid", "--cutoff", "513"], CUTOFF_ERROR),
-    (["sweep-fidelity", "--cutoff", "12.5"], CUTOFF_ERROR),
+    (["sweep-mandel", "--cutoff", "12.5"], CUTOFF_ERROR),
     (["sweep-fidelity", "--nbar-range", "0:1:1"], STEPS_ERROR),
     (["sweep-mandel", "--nbar-range", "0:1:two"], STEPS_ERROR),
     # the closed-form Wigner series is printed for real amplitudes only
@@ -182,7 +182,7 @@ BAD_ARGV = [
     (["wigner-grid", "--nbar", "x"], NBAR_ERROR + ", got 'x'"),
     (["sweep-fidelity", "--nbar-range", "1:2"], RANGE_LAYOUT_ERROR + "'1:2'"),
     (["sweep-fidelity", "--nbar-range", "0:x:5"], NBAR_ERROR + ", got 'x'"),
-    (["sweep-fidelity", "--tail-tol", "x"], TAIL_TOL_ERROR + ", got 'x'"),
+    (["sweep-mandel", "--tail-tol", "x"], TAIL_TOL_ERROR + ", got 'x'"),
     # each subcommand takes only the flags it reads, and no abbreviations
     *[([command, *flag], UNREAD_ERROR + " ".join(flag)) for command, flag in (
         ("sweep-fidelity", ["--nbar", "1"]),
@@ -203,6 +203,10 @@ BAD_ARGV = [
     # |a|^2 overflows: the norm reads inf
     (["sweep-fidelity", "--amps=1e160,1e160,0,0"], AMPS_ERROR),
     (["sweep-mandel", "--amps=1e200,0,0,0,0,0,0,0"], AMPS_ERROR),
+    # the fidelity takes no cutoff
+    (["sweep-fidelity", "--cutoff", "100"], UNREAD_ERROR + "--cutoff 100"),
+    (["sweep-fidelity", "--tail-tol", "1e-12"],
+     UNREAD_ERROR + "--tail-tol 1e-12"),
 ]
 
 
@@ -256,12 +260,14 @@ UNREAD_KEYS = [("sweep-fidelity", "nbar=1"), ("sweep-mandel", "nbar=1"),
                ("wigner-grid", "nbar_range=0:1:5"),
                ("verify", "nbar_range=0:1:5"), ("verify", "nbar=1"),
                ("verify", "cutoff=60"), ("verify", "tail_tol=1e-12"),
-               ("verify", "grid=-1:1:3,-1:1:3"), ("verify", "format=csv")]
+               ("verify", "grid=-1:1:3,-1:1:3"), ("verify", "format=csv"),
+               ("sweep-fidelity", "cutoff=100"),
+               ("sweep-fidelity", "tail_tol=1e-12")]
 
 
 @pytest.mark.parametrize("command, line, message", [
-    ("sweep-fidelity", "tail_tol=1e-3", TAIL_TOL_ERROR),
-    ("sweep-fidelity", "cutoff=4", CUTOFF_ERROR),
+    ("sweep-mandel", "tail_tol=1e-3", TAIL_TOL_ERROR),
+    ("sweep-mandel", "cutoff=4", CUTOFF_ERROR),
     ("sweep-fidelity", "nbar_range=0:1:1", STEPS_ERROR),
     ("sweep-fidelity", "amps=nan,0,0,0", AMPS_ERROR),
     ("sweep-fidelity", "amps=1,2,3", AMPS_LAYOUT_ERROR + "'1,2,3'"),
@@ -270,7 +276,7 @@ UNREAD_KEYS = [("sweep-fidelity", "nbar=1"), ("sweep-mandel", "nbar=1"),
     ("wigner-grid", "nbar=x", NBAR_ERROR + ", got 'x'"),
     ("sweep-fidelity", "nbar_range=1:2", RANGE_LAYOUT_ERROR + "'1:2'"),
     ("sweep-fidelity", "nbar_range=0:x:5", NBAR_ERROR + ", got 'x'"),
-    ("sweep-fidelity", "tail_tol=x", TAIL_TOL_ERROR + ", got 'x'"),
+    ("sweep-mandel", "tail_tol=x", TAIL_TOL_ERROR + ", got 'x'"),
     ("sweep-mandel", "amps=1e300,1e300,0,0", AMPS_ERROR),
     *[(command, line, f"{command} does not read config key "
                       f"{line.partition('=')[0]!r}")
@@ -326,13 +332,12 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
 # numerical limits: n_bar past the cutoff cap, a grid that cannot be widened
 # enough (forced by a normalization tolerance no grid meets)
 LIMIT_CASES = [
-    (["sweep-fidelity", "--nbar-range", "0:20:5"], {}, "n_bar = 15.0"),
     (["sweep-mandel", "--nbar-range", "0:20:5"], {}, "n_bar = 15.0"),
     (["wigner-grid", "--nbar", "20"], {}, "n_bar = 20.0"),
-    (["sweep-fidelity", "--nbar-range", "0:5:3", "--cutoff", "100"], {},
+    (["sweep-mandel", "--nbar-range", "0:5:3", "--cutoff", "100"], {},
      "n_bar = 5.0"),
     # cutoff 150 passes at the default tail tolerance (see below)
-    (["sweep-fidelity", "--nbar-range", "0:5:3", "--cutoff", "150",
+    (["sweep-mandel", "--nbar-range", "0:5:3", "--cutoff", "150",
       "--tail-tol", "1e-14"], {}, "n_bar = 5.0"),
     (["wigner-grid", "--nbar", "0.1"], {"GRID_TOL_DEFAULT": 0.0},
      "n_bar = 0.1"),
@@ -342,6 +347,8 @@ LIMIT_CASES = [
      "n_bar = 1e+16"),
     (["wigner-grid", "--nbar", "1e100"], {}, "n_bar = 1e+100"),
     (["sweep-mandel", "--nbar-range", "0:1e300:3"], {}, "n_bar = 5e+299"),
+    # the fidelity has no cutoff cap, but its series' u^8 overflows
+    (["sweep-fidelity", "--nbar-range", "0:1e300:3"], {}, "n_bar = 5e+299"),
     # far out, the powers of q overflow: W is not finite
     (["wigner-grid", "--nbar", "1", "--grid=-1e80:1e80:3,-1:1:3"], {},
      "grid -1e+80:1e+80:3,-1.0:1.0:3 at n_bar = 1.0"),
@@ -351,10 +358,10 @@ LIMIT_CASES = [
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, patch, message", LIMIT_CASES,
-    ids=["cutoff-fidelity", "cutoff-mandel", "cutoff-wigner",
+    ids=["cutoff-mandel", "cutoff-wigner",
          "explicit-cutoff", "explicit-cutoff-tail-tol", "grid-widening",
          "k1-one", "k1-one-cutoff", "k1-one-overflow", "k1-one-sweep",
-         "grid-overflow"])
+         "fidelity-overflow", "grid-overflow"])
 def test_numerical_limit_exit_code(tmp_path, capsys, monkeypatch,
                                    argv, patch, message):
     for name, value in patch.items():
@@ -372,10 +379,29 @@ def test_numerical_limit_exit_code(tmp_path, capsys, monkeypatch,
 def test_explicit_cutoff_passes_default_tail_tol(tmp_path):
     # the same command as the explicit-cutoff-tail-tol limit case, without
     # --tail-tol: only the tighter tolerance makes cutoff 150 fail
-    out = tmp_path / "fid.csv"
-    assert cli.main(["sweep-fidelity", "--nbar-range", "0:5:3",
+    out = tmp_path / "mandel.csv"
+    assert cli.main(["sweep-mandel", "--nbar-range", "0:5:3",
                      "--cutoff", "150", "--out", str(out)]) == 0
     assert len(read_csv(out)) == 3
+
+
+@pytest.mark.parametrize("n_bar_range, row", [
+    ("0:20:5", "1.500000000e+01,6.954675160e-02,6.372284689e-02,"
+               "5.823904710e-03"),
+    ("20:0:5", "1.500000000e+01,6.954675160e-02,6.372284689e-02,"
+               "5.823904710e-03"),
+    # k1 rounds to 1: to first order in k = 1/(1 + n_bar) the 5 x 5 block
+    # is k |x|^2 times the identity, so F ~ sqrt(k) |x| = 2e-9 at x = 0.2
+    ("0:1e16:3", "1.000000000e+16,2.000000009e-09,1.907878413e-09,"
+                 "9.212159671e-11"),
+], ids=["ascending", "descending", "k1-rounds-to-one"])
+def test_sweep_fidelity_past_the_cutoff_cap(tmp_path, n_bar_range, row):
+    # the fidelity reads the cutoff-free 5 x 5 block of rho, so the cap
+    # that stops the other commands from n_bar ~ 14.5 does not stop it
+    out = tmp_path / "fid.csv"
+    assert cli.main(["sweep-fidelity", "--nbar-range", n_bar_range,
+                     "--out", str(out)]) == 0
+    assert row in out.read_text().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +699,50 @@ def test_verify_contains_triple_agreement(verify_report):
     audits = [c for c in report["checks"]
               if c["name"] == "wigner_closed_form_audit"]
     assert {c["n_bar"] for c in audits} == {0.0, 0.1, 0.3, 1.0}
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+def documented_flags(lines) -> dict:
+    """{subcommand: flags} from lines that name subcommands, then list
+    their flags; a line of flags alone continues the subcommands above."""
+    flags, names = {}, []
+    for line in lines:
+        tokens = line.replace("`", " ").replace("|", " ").replace(",", " ")
+        tokens = tokens.split()
+        names = [t for t in tokens if not t.startswith("--")] or names
+        for name in names:
+            flags.setdefault(name, []).extend(
+                t for t in tokens if t.startswith("--"))
+    return flags
+
+
+def test_flag_docs_match_the_subcommand_table():
+    # the README flag table and the cli docstring list, for each
+    # subcommand, exactly the options it reads, plus --config (which the
+    # docstring gives once, for all)
+    expected = {name: ["--" + key.replace("_", "-") for key in keys]
+                + ["--config"] for name, (_, keys) in cli._SUBCOMMANDS.items()}
+    readme = (Path(__file__).resolve().parent.parent / "README.md"
+              ).read_text(encoding="utf-8").splitlines()
+    head = readme.index("| subcommand | flags (and config keys) |")
+    table = []
+    for line in readme[head + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        table.append(line)
+    assert documented_flags(table) == expected
+
+    doc = cli.__doc__.splitlines()
+    start = next(i for i, line in enumerate(doc)
+                 if line.startswith("Subcommands and the flags"))
+    end = next(i for i, line in enumerate(doc) if i > start
+               and not line.startswith(" "))
+    assert doc[start].endswith(", all with --config:")
+    assert {name: flags + ["--config"] for name, flags in
+            documented_flags(doc[start + 1:end]).items()} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from thermoqubit.errors import MandelUndefinedError
 from thermoqubit.observables import (
     _mandel_coefficients,
     fidelity_closed_form,
+    fidelity_columns,
     fidelity_numeric,
     laguerre_assoc,
     mandel_closed_form,
@@ -61,7 +62,7 @@ def test_fidelity_dual_path_oracle():
     rho = thermal_state_density_operator(DEFAULT_AMPLITUDES, params, cutoff)
     psi = DEFAULT_AMPLITUDES.as_vector(cutoff).data
     brute = math.sqrt(float(np.real(psi.conj() @ rho.data @ psi)))
-    fast = fidelity_numeric(DEFAULT_AMPLITUDES, params, cutoff)
+    fast = fidelity_numeric(DEFAULT_AMPLITUDES, params)
     assert abs(fast - brute) < 1e-10
 
 
@@ -227,10 +228,18 @@ def test_readers_match_dense_expansion(amps, n_bar):
 
 @pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
 def test_fidelity_independent_of_cutoff(n_bar):
-    # the 5 x 5 block the fidelity reads has no cutoff dependence
+    # the fidelity takes no cutoff: its bits are psi^+ rho psi on the
+    # leading 5 x 5 block of the expanded rho at any cutoff (at n_bar = 10
+    # cutoff 51 leaves too much tail, so the auto cutoff stands in)
     params = params_for(n_bar)
     amps = random_amps()
-    assert fidelity_numeric(amps, params) == fidelity_numeric(amps, params, 512)
+    psi = amps.as_vector(4).data
+    fidelity = fidelity_columns(amps, [n_bar])[0][0]
+    for cutoff in (51 if n_bar < 10 else auto_cutoff(n_bar), 512):
+        rho = thermal_state_density_expansion(amps, params, cutoff).data
+        block = np.ascontiguousarray(rho[:5, :5])
+        value = float(np.real(psi.conj() @ block @ psi))
+        assert fidelity == math.sqrt(max(value, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoqubit import cli, observables
-from thermoqubit.errors import CutoffError, MandelUndefinedError
+from thermoqubit.errors import MandelUndefinedError
 from thermoqubit.thermal import (
+    DEFAULT_AMPLITUDES,
     PhysicalAmplitudes,
     ThermalParams,
     _complex_div,
@@ -54,13 +55,12 @@ def sweep_configs(draw):
 
 def point_by_point(cfg, closed_form):
     """(n_bar, numeric, closed form, discrepancy) rows from the per-point
-    public function, with the NaN row the sweep writes where it raises
-    MandelUndefinedError."""
+    public function `closed_form(params)`, with the NaN row the sweep
+    writes where it raises MandelUndefinedError."""
     rows = []
     for n_bar in cfg.n_bar_values().tolist():
-        params = ThermalParams.from_mean_occupation(n_bar)
         try:
-            report = closed_form(cfg.amps, params, cfg.resolved_cutoff(n_bar))
+            report = closed_form(ThermalParams.from_mean_occupation(n_bar))
         except MandelUndefinedError:
             rows.append((n_bar, math.nan, math.nan, math.nan))
             continue
@@ -73,17 +73,19 @@ def point_by_point(cfg, closed_form):
 @given(cfg=sweep_configs())
 def test_fidelity_blocks_match_points_bit_for_bit(cfg):
     columns = cli._sweep_columns(
-        cfg, lambda amps, n_bar, _: observables.fidelity_columns(amps, n_bar))
+        cfg, lambda n_bar: observables.fidelity_columns(cfg.amps, n_bar))
     assert [bits(c) for c in columns] == point_by_point(
-        cfg, observables.fidelity_closed_form)
+        cfg, lambda params: observables.fidelity_closed_form(cfg.amps, params))
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(cfg=sweep_configs())
 def test_mandel_blocks_match_points_bit_for_bit(cfg):
-    columns = cli._sweep_columns(cfg, observables.mandel_columns)
+    columns = cli._sweep_columns(cfg, lambda n_bar: observables.mandel_columns(
+        cfg.amps, n_bar, [cfg.resolved_cutoff(v) for v in n_bar.tolist()]))
     assert [bits(c) for c in columns] == point_by_point(
-        cfg, observables.mandel_closed_form)
+        cfg, lambda params: observables.mandel_closed_form(
+            cfg.amps, params, cfg.resolved_cutoff(params.n_bar)))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -213,14 +215,10 @@ def test_vacuum_at_zero_temperature_gives_undefined_mandel_row():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep-fidelity", "--nbar-range", "20:0:5"], "n_bar = 20.0"),
     (["sweep-mandel", "--nbar-range", "20:0:5"], "n_bar = 20.0"),
-    (["sweep-fidelity", "--nbar-range", "5:0:3", "--cutoff", "100"],
-     "n_bar = 5.0"),
     (["sweep-mandel", "--nbar-range", "5:0:3", "--cutoff", "100"],
      "n_bar = 5.0"),
-], ids=["fidelity-past-cap", "mandel-past-cap", "fidelity-explicit-cutoff",
-        "mandel-explicit-cutoff"])
+], ids=["mandel-past-cap", "mandel-explicit-cutoff"])
 def test_descending_sweep_names_first_failing_point(tmp_path, capsys, argv,
                                                     message):
     rc = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
@@ -230,33 +228,26 @@ def test_descending_sweep_names_first_failing_point(tmp_path, capsys, argv,
     assert len(lines) == 1 and message in lines[0]
 
 
-def test_cutoff_error_after_full_block_keeps_earlier_points_first(monkeypatch):
-    # a failing cutoff ends the sweep only after the points before it ran
-    seen = []
-    columns = observables.fidelity_columns
-
-    def reader(amps, n_bar):
-        seen.extend(n_bar.tolist())
-        return columns(amps, n_bar)
-
-    monkeypatch.setattr(observables, "fidelity_columns", reader)
-    # 0:15:2B+1 puts the first n_bar past the cap (about 14.5) in block 2
-    cfg = cli.SweepConfig(n_bar_start=0.0, n_bar_end=15.0,
-                          n_bar_steps=2 * BLOCK + 1)
-    with pytest.raises(CutoffError):
-        cli.cmd_sweep_fidelity(cfg)
-    values = cfg.n_bar_values().tolist()
-    first_bad = next(i for i, v in enumerate(values) if _cutoff_fails(v))
-    assert BLOCK < first_bad < 2 * BLOCK
-    assert seen == values[:first_bad]
+BAD_N_BAR = [-0.5, -2.0, math.nan, math.inf, -math.inf]
 
 
-def _cutoff_fails(n_bar):
-    try:
-        auto_cutoff(n_bar)
-    except CutoffError:
-        return True
-    return False
+@pytest.mark.parametrize("bad", BAD_N_BAR)
+@pytest.mark.parametrize("at", [0, 2], ids=["alone", "inside-block"])
+def test_block_readers_reject_bad_n_bar(bad, at):
+    # alone, or the third point of a block whose other points are good
+    n_bar = [bad] if at == 0 else [0.0, 1.0, bad, 2.0]
+    message = "n_bar must be finite and nonnegative"
+    with pytest.raises(ValueError, match=message):
+        observables.fidelity_columns(DEFAULT_AMPLITUDES, n_bar)
+    with pytest.raises(ValueError, match=message):
+        observables.mandel_columns(DEFAULT_AMPLITUDES, n_bar, [8] * len(n_bar))
+
+
+@pytest.mark.parametrize("end", ["n_bar_start", "n_bar_end"])
+@pytest.mark.parametrize("bad", BAD_N_BAR)
+def test_sweep_config_rejects_bad_range_ends(end, bad):
+    with pytest.raises(ValueError, match="n_bar must be finite and nonneg"):
+        cli.SweepConfig(**{end: bad})
 
 
 @pytest.fixture(scope="module")
