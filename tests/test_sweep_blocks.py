@@ -218,7 +218,11 @@ def test_vacuum_at_zero_temperature_gives_undefined_mandel_row():
     (["sweep-mandel", "--nbar-range", "20:0:5"], "n_bar = 20.0"),
     (["sweep-mandel", "--nbar-range", "5:0:3", "--cutoff", "100"],
      "n_bar = 5.0"),
-], ids=["mandel-past-cap", "mandel-explicit-cutoff"])
+    # sweep-fidelity takes no cutoff; its case keeps the id it had when it
+    # did and checks its one limit, the overflow of u^8 = (1 + n_bar)^4
+    (["sweep-fidelity", "--nbar-range", "1e78:0:3"], "n_bar = 1e+78"),
+], ids=["mandel-past-cap", "mandel-explicit-cutoff",
+        "fidelity-explicit-cutoff"])
 def test_descending_sweep_names_first_failing_point(tmp_path, capsys, argv,
                                                     message):
     rc = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
