@@ -6,7 +6,22 @@ three independent routes, implements the half-period CNOT encoding, and
 evaluates the temperature diagnostics (fidelity, Mandel Q, Wigner
 function) with both first-principles numerics and the published closed
 forms, reporting their discrepancies.
+
+Importing the package runs numpy's BLAS on one thread unless the user
+chose a thread count (see `_THREAD_VARIABLES`) or numpy is already
+loaded, when its thread pool is sized already.  No matrix here is wider
+than 517, and a second BLAS worker only spins a core.
 """
+
+import os as _os
+import sys as _sys
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ for name in _THREAD_VARIABLES):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    _os.environ["MKL_NUM_THREADS"] = "1"
 
 from .errors import CutoffError, GridWideningError, MandelUndefinedError
 from .fock import (

@@ -211,12 +211,27 @@ def _fidelity_values(amps: PhysicalAmplitudes, n_bar: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0))
 
 
+def _fidelity_n_bar(n_bar) -> np.ndarray:
+    """`_block_n_bar` of a fidelity reader; FloatingPointError at the first
+    value whose u^8, the printed series' highest power, overflows."""
+    n_bar = _block_n_bar(n_bar)
+    for value in n_bar.tolist():
+        # u^8 as `_float_pow` computes it
+        try:
+            math.sqrt(1.0 + value) ** 8
+        except OverflowError:
+            raise FloatingPointError(f"u^8 = (1 + n_bar)^4 overflows at "
+                                     f"n_bar = {value}") from None
+    return n_bar
+
+
 def fidelity_numeric(amps: PhysicalAmplitudes, params: ThermalParams
                      ) -> float:
     """sqrt(<Psi| rho |Psi>) between the pure target and its heated state,
-    from rho's leading 5 x 5 block, whose entries take no cutoff."""
+    from rho's leading 5 x 5 block, whose entries take no cutoff.  Its
+    n_bar is checked as `fidelity_columns` checks one."""
     amps.require_normalized()
-    return float(_fidelity_values(amps, np.array([params.n_bar]))[0])
+    return float(_fidelity_values(amps, _fidelity_n_bar([params.n_bar]))[0])
 
 
 def _fidelity_series_terms(amps: PhysicalAmplitudes, u: np.ndarray):
@@ -292,14 +307,7 @@ def fidelity_columns(amps: PhysicalAmplitudes, n_bar
     fidelity^2 exceeds 1 beyond tolerance.
     """
     amps.require_normalized()
-    n_bar = _block_n_bar(n_bar)
-    for value in n_bar.tolist():
-        # u^8, the series' highest power, as `_float_pow` computes it
-        try:
-            math.sqrt(1.0 + value) ** 8
-        except OverflowError:
-            raise FloatingPointError(f"u^8 = (1 + n_bar)^4 overflows at "
-                                     f"n_bar = {value}") from None
+    n_bar = _fidelity_n_bar(n_bar)
     closed = _fidelity_series(amps, n_bar)
     numeric = _fidelity_values(amps, n_bar)
     return numeric, closed, np.abs(numeric - closed)

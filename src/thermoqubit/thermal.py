@@ -56,9 +56,10 @@ class ThermalParams:
 
     @classmethod
     def from_mean_occupation(cls, n_bar: float) -> "ThermalParams":
-        if n_bar < 0:
-            raise ValueError(f"mean occupation must be nonnegative, got {n_bar}")
         n_bar = float(n_bar)
+        if not (math.isfinite(n_bar) and n_bar >= 0.0):
+            raise ValueError(f"n_bar must be finite and nonnegative, got "
+                             f"{n_bar}")
         return cls(
             beta_omega=beta_omega_from_occupation(n_bar),
             n_bar=n_bar,
@@ -348,20 +349,28 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
     (w/(sqrt24 u^4)) (a^+)^4.  Internally everything is assembled at
     cutoff+4 and cropped, so the +4 ladder shift never truncates a visible
     amplitude.  Serves as the independent oracle for the expansion path.
+
+    The ladder powers are real products (a^+2 = a^+ a^+, a^+4 = a^+2 a^+2)
+    and the diagonal rho_thermal scales the columns of f, so the only
+    complex matrix product is (f rho_thermal) f^dagger.  Each entry of the
+    skipped products has a single nonzero term, so the result has the bits
+    of the complex products f rho_thermal f^dagger written out in full.
     """
     amps.require_normalized()
     validate_cutoff(cutoff, params)
     inner = cutoff + 4
     _, raising = build_ladder(inner)
-    r = raising.data
+    r = np.ascontiguousarray(raising.data.real)
+    r2 = r @ r
+    r4 = r2 @ r2
     coeffs = {p: c[0] for p, c in
               _ladder_coefficients(amps, np.array([params.u])).items()}
     f = (coeffs[0] * np.eye(inner + 1, dtype=complex)
          + coeffs[1] * r
-         + coeffs[2] * (r @ r)
-         + coeffs[4] * np.linalg.matrix_power(r, 4))
+         + coeffs[2] * r2
+         + coeffs[4] * r4)
     diag = params.k * params.k1 ** np.arange(inner + 1)
-    rho_inner = f @ np.diag(diag.astype(complex)) @ f.conj().T
+    rho_inner = (f * diag) @ f.conj().T
     return FockMatrix(rho_inner[: cutoff + 1, : cutoff + 1], cutoff)
 
 

@@ -66,7 +66,10 @@ def _density_checks(amps, params, cutoff, rho_exp):
     yield _check("density_hermitian", herm, 1e-12, n_bar)
     yield _check("density_trace", abs(rho_exp.trace().real - 1.0),
                  thermal.TAIL_TOL_DEFAULT, n_bar)
-    eigs = np.linalg.eigvalsh(rho_exp.data)
+    # real amplitudes give a real rho, whose real eigensolver is about 3x
+    # faster than the complex one
+    rho = rho_exp.data
+    eigs = np.linalg.eigvalsh(rho.real if not rho.imag.any() else rho)
     yield _check("density_positive", max(0.0, -float(eigs.min())), 1e-9, n_bar)
 
     rho_b = np.diag(thermal.thermal_vacuum_density(params, cutoff).data).real

@@ -682,6 +682,21 @@ def test_verify_builds_each_doubled_vacuum_once(monkeypatch):
     assert calls == list(verify.DEFAULT_N_BARS)
 
 
+def test_verify_density_checks_take_complex_amplitudes():
+    # verify runs real amplitudes only, whose rho goes to the real
+    # eigensolver; a complex set takes the complex one
+    raw = np.array([0.3 + 0.4j, -0.2j, 0.5 - 0.1j, 0.6 + 0.2j])
+    amps = thermal.PhysicalAmplitudes(*(raw / np.linalg.norm(raw)))
+    params = thermal.ThermalParams.from_mean_occupation(1.0)
+    cutoff = thermal.auto_cutoff(1.0)
+    rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
+    assert rho.data.imag.any()
+    checks = {c.name: c for c in verify._density_checks(amps, params, cutoff,
+                                                          rho)}
+    assert checks["density_positive"].passed
+    assert all(c.passed for c in checks.values())
+
+
 def test_verify_contains_gate_residual(verify_report):
     _, report = verify_report
     entries = [c for c in report["checks"]

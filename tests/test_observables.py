@@ -242,6 +242,17 @@ def test_fidelity_independent_of_cutoff(n_bar):
         assert fidelity == math.sqrt(max(value, 0.0))
 
 
+def test_fidelity_numeric_overflow_matches_block_reader():
+    # u^8 overflows at n_bar = 1e200; the point reader raises the block
+    # reader's error, not the OverflowError of u^4 deeper down
+    with pytest.raises(FloatingPointError) as block:
+        fidelity_columns(DEFAULT_AMPLITUDES, [1e200])
+    with pytest.raises(FloatingPointError) as point:
+        fidelity_numeric(DEFAULT_AMPLITUDES, params_for(1e200))
+    assert str(point.value) == str(block.value)
+    assert "overflows" in str(point.value)
+
+
 # ---------------------------------------------------------------------------
 # associated Laguerre recurrence
 # ---------------------------------------------------------------------------

@@ -100,6 +100,12 @@ def test_negative_occupation_rejected():
         params_for(-0.1)
 
 
+@pytest.mark.parametrize("n_bar", [math.nan, math.inf])
+def test_nonfinite_occupation_rejected(n_bar):
+    with pytest.raises(ValueError, match="n_bar must be finite and nonnegative"):
+        params_for(n_bar)
+
+
 # ---------------------------------------------------------------------------
 # cutoff selection
 # ---------------------------------------------------------------------------
@@ -261,6 +267,28 @@ def test_operator_zero_temperature_projectors():
     expect = np.zeros((13, 13), dtype=complex)
     expect[1, 1] = 1.0
     assert np.abs(rho1.data - expect).max() < 1e-14
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.3, 10.0])
+@pytest.mark.parametrize("amps", [DEFAULT_AMPLITUDES, PhysicalAmplitudes(
+    0.5 + 0.1j, -0.3j, 0.4 - 0.2j, math.sqrt(0.45) * 1j)],
+    ids=["default", "complex"])
+def test_operator_route_matches_full_complex_products(amps, n_bar):
+    # the reference: f built from complex ladder powers, then the two
+    # complex products f rho_thermal f^dagger; the route skips the products
+    # whose entries have a single nonzero term, so every bit must agree
+    params, cutoff = params_for(n_bar), auto_cutoff(n_bar)
+    inner = cutoff + 4
+    r = build_ladder(inner)[1].data
+    x, y, z, w = amps.as_tuple()
+    f = (x * np.eye(inner + 1, dtype=complex)
+         + y / params.u * r
+         + z / (math.sqrt(2.0) * params.u ** 2) * (r @ r)
+         + w / (math.sqrt(24.0) * params.u ** 4) * np.linalg.matrix_power(r, 4))
+    diag = params.k * params.k1 ** np.arange(inner + 1)
+    expect = f @ np.diag(diag.astype(complex)) @ f.conj().T
+    rho = thermal_state_density_operator(amps, params, cutoff)
+    assert np.array_equal(rho.data, expect[: cutoff + 1, : cutoff + 1])
 
 
 @pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
