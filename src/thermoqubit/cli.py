@@ -9,8 +9,10 @@ Subcommands and the flags each reads (`_SUBCOMMANDS`), all with --config:
 A config file takes the same keys ("_" for "-"); any other flag or key,
 or an abbreviated flag, is a usage error.
 CSV/JSON rows carry floats as %.9e so identical configurations always
-produce byte-identical rows; the wigner-grid sidecar and the verify
-report carry repr floats, whose last digit shows a rounding move.
+produce byte-identical rows (wigner-grid formats them a column at a time,
+with % as the fallback for near-ties and non-finite values); the
+wigner-grid sidecar and the verify report carry repr floats, whose last
+digit shows a rounding move.
 
 Exit status: 0 on success, 1 when a `verify` check fails, 2 for a usage
 error (amplitudes whose norm overflows included) or an unreadable or
@@ -24,6 +26,7 @@ on the grid); errors are one line on stderr and nothing is written to
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -92,6 +95,15 @@ def _write_text(path: str, text: str):
             fh.write(text)
 
 
+def _write_bytes(path: str, data: bytes):
+    if path == "-":
+        sys.stdout.flush()  # after any text already written there
+        sys.stdout.buffer.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+
 def _rows_to_output(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
@@ -103,38 +115,110 @@ def _rows_to_output(header: list[str], rows: list[list[str]], fmt: str) -> str:
 
 _WIGNER_HEADER = ["q", "p", "w_numeric", "w_closed_form"]
 
+# A %.9e field: sign, d.ddddddddd, "e", the exponent's sign and 2 or 3
+# digits; a slot a value leaves unused holds NUL, dropped at assembly.
+_E9_WIDTH = 17
+# the decimal exponents whose scale 10**(9 - e) is a normal double
+_E9_EXPONENTS = range(-299, 309)
+
+
+@functools.lru_cache(maxsize=1)
+def _e9_tables():
+    """Built on first use: 10**(9 - e) correctly rounded and the
+    "e+dd"/"e-ddd" texts over _E9_EXPONENTS, the "d.d" texts of 0..99 and
+    the 4-digit texts of 0..9999, as uint8 rows."""
+    def ascii_digits(width):  # the width-digit texts of 0 .. 10**width - 1
+        digits = np.indices((10,) * width, np.uint8).reshape(width, -1).T
+        return np.ascontiguousarray(digits + np.uint8(ord("0")))
+
+    scale = np.array([float(f"1e{9 - e}") for e in _E9_EXPONENTS])
+    exponents = np.frombuffer(
+        "".join(f"e{e:+03d}".ljust(5, "\0") for e in _E9_EXPONENTS).encode(),
+        np.uint8).reshape(-1, 5)
+    lead = np.insert(ascii_digits(2), 1, ord("."), axis=1)
+    return scale, exponents, lead, ascii_digits(4)
+
+
+def _e9_fields(values: np.ndarray) -> np.ndarray:
+    """The `_fmt` texts of `values` as NUL-padded ASCII, shape
+    values.shape + (_E9_WIDTH,), formatted a column at a time.
+
+    A finite value's scaled magnitude s = |v| 10**(9 - e), with
+    e = floor(log10 |v|), is two roundings away from the exact one, so
+    within 2.3e-6 of it below 1e10: rint(s) is the correctly rounded
+    10-digit mantissa unless s lies within 1e-4 of a rounding tie.  Such
+    near-ties, values whose e is off the table or whose mantissa leaves
+    [1e9, 1e10) (a misjudged e or a carry into the next decade) and
+    non-finite values go through `_fmt` instead.
+    """
+    scale, exponents, lead, digits = _e9_tables()
+    lowest = _E9_EXPONENTS[0]
+    x = np.asarray(values, dtype=float).ravel()
+    mag = np.abs(x)
+    zero = mag == 0.0
+    normal = np.isfinite(x) & ~zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(np.where(normal, mag, 1.0)))  # 0 for zero
+    ok = (normal | zero) & (e >= lowest) & (e <= _E9_EXPONENTS[-1])
+    row = np.where(ok, e - lowest, -lowest).astype(np.intp)
+    s = np.where(ok, mag, 0.0) * scale[row]
+    mant = np.rint(s)
+    near_tie = np.abs(s - np.floor(s) - 0.5) < 1e-4
+    ok &= (zero | (mant >= 1e9) & (mant < 1e10)) & ~near_tie
+    m = np.where(ok, mant, 0.0).astype(np.int64)
+
+    high, low = np.divmod(m, 10_000)
+    high, middle = np.divmod(high, 10_000)
+
+    out = np.empty((x.size, _E9_WIDTH), np.uint8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    # np.take, not table[index]: much faster on rows of a 2-d table
+    out[:, 1:4] = np.take(lead, high, axis=0)
+    out[:, 4:8] = np.take(digits, middle, axis=0)
+    out[:, 8:12] = np.take(digits, low, axis=0)
+    out[:, 12:] = np.take(exponents, row, axis=0)
+    for i in np.flatnonzero(~ok).tolist():
+        text = _fmt(x[i]).encode()
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out.reshape(*np.shape(values), _E9_WIDTH)
+
+
+def _assemble(parts: list, shape: tuple) -> bytes:
+    """Rows of `parts` laid side by side and joined, NUL slots dropped: a
+    bytes part is the same in every row, an array part is `_e9_fields`
+    broadcasting against `shape`."""
+    parts = [np.frombuffer(part, np.uint8) if isinstance(part, bytes)
+             else part for part in parts]
+    widths = np.cumsum([0] + [part.shape[-1] for part in parts])
+    buf = np.empty((*shape, widths[-1]), np.uint8)
+    for part, start, stop in zip(parts, widths, widths[1:]):
+        buf[..., start:stop] = part
+    data = buf.tobytes()
+    del buf  # one copy of the rows alive at a time
+    return data.translate(None, b"\0")
+
 
 def _wigner_csv(q: np.ndarray, p: np.ndarray, numeric: np.ndarray,
-                closed: np.ndarray) -> str:
-    """The wigner-grid CSV: the lines of one q row share their q text and
-    the p texts, so each row is one `%` on a line template taking the
-    row's (w_numeric, w_closed_form) pairs.  Same bytes as
+                closed: np.ndarray) -> bytes:
+    """The wigner-grid CSV, p varying fastest.  Same bytes as
     `_rows_to_output` on `_fmt` cells."""
-    cells = [_fmt(v) + f",{_FLOAT_FMT},{_FLOAT_FMT}" for v in p.tolist()]
-    pairs = np.stack([numeric, closed], axis=-1).reshape(len(q), -1)
-    blocks = [",".join(_WIGNER_HEADER) + "\n"]
-    for q_text, row in zip(map(_fmt, q.tolist()), pairs.tolist()):
-        head = q_text + ","
-        blocks.append((head + ("\n" + head).join(cells) + "\n") % tuple(row))
-    return "".join(blocks)
+    rows = _assemble([_e9_fields(q)[:, None], b",", _e9_fields(p), b",",
+                      _e9_fields(numeric), b",", _e9_fields(closed), b"\n"],
+                     numeric.shape)
+    return (",".join(_WIGNER_HEADER) + "\n").encode() + rows
 
 
 def _wigner_json(q: np.ndarray, p: np.ndarray, numeric: np.ndarray,
-                 closed: np.ndarray) -> str:
-    """The wigner-grid JSON, templated like `_wigner_csv`: a record is its
-    p part, the row's q text and a tail taking the (w_closed_form,
-    w_numeric) pair, so each q row is one `%`.  Same bytes as
-    `_rows_to_output` on `_fmt` cells (keys sorted, indent 2; the %.9e
-    texts need no escaping)."""
-    heads = ['  {\n    "p": "' + _fmt(v) + '",\n    "q": "' for v in p.tolist()]
-    tail = ('",\n    "w_closed_form": "%s",\n    "w_numeric": "%s"\n  }'
-            % (_FLOAT_FMT, _FLOAT_FMT))
-    pairs = np.stack([closed, numeric], axis=-1).reshape(len(q), -1)
-    rows = []
-    for q_text, row in zip(map(_fmt, q.tolist()), pairs.tolist()):
-        end = q_text + tail
-        rows.append(((end + ",\n").join(heads) + end) % tuple(row))
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+                 closed: np.ndarray) -> bytes:
+    """The wigner-grid JSON.  Same bytes as `_rows_to_output` on `_fmt`
+    cells (keys sorted, indent 2; the %.9e texts need no escaping)."""
+    records = _assemble(
+        [b'  {\n    "p": "', _e9_fields(p), b'",\n    "q": "',
+         _e9_fields(q)[:, None], b'",\n    "w_closed_form": "',
+         _e9_fields(closed), b'",\n    "w_numeric": "', _e9_fields(numeric),
+         b'"\n  },\n'], numeric.shape)
+    return b"[\n" + records[:-2] + b"\n]\n"  # no comma after the last
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +287,7 @@ def cmd_sweep_mandel(cfg: SweepConfig) -> str:
     return text
 
 
-def cmd_wigner_grid(cfg: SweepConfig) -> str:
+def cmd_wigner_grid(cfg: SweepConfig) -> bytes:
     """Wigner function on a phase-space grid for one n_bar, with a JSON
     sidecar of normalization metadata next to the main file.
 
@@ -231,8 +315,8 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
             f"at n_bar = {n_bar}")
 
     writer = _wigner_csv if cfg.format == "csv" else _wigner_json
-    text = writer(spec.q_axis(), spec.p_axis(), numeric.values, closed.values)
-    _write_text(cfg.out, text)
+    data = writer(spec.q_axis(), spec.p_axis(), numeric.values, closed.values)
+    _write_bytes(cfg.out, data)
 
     sidecar = {
         "n_bar": n_bar,
@@ -257,7 +341,7 @@ def cmd_wigner_grid(cfg: SweepConfig) -> str:
         _write_text(cfg.out + ".meta.json", sidecar_text)
     else:
         sys.stdout.write(sidecar_text)
-    return text
+    return data
 
 
 def cmd_verify(cfg: SweepConfig) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,11 +104,11 @@ class GridSpec:
         dp = (self.p_max - self.p_min) / (self.np - 1)
         return dq * dp
 
-    @cached_property
+    @property
     def _radial(self):
-        """`_radial_grid` of this grid, computed once: the numeric kernel
-        and the closed-form series of one audit share it."""
-        return _radial_grid(self.q_axis(), self.p_axis())
+        """`_radial_grid` of this grid, shared by the passes on it (the
+        numeric kernel, the closed-form series) through `_radial_of`."""
+        return _radial_of(self.q_axis().tobytes(), self.p_axis().tobytes())
 
     def doubled(self) -> "GridSpec":
         return GridSpec(2 * self.q_min, 2 * self.q_max,
@@ -540,13 +540,24 @@ def _laguerre_sums(ks, coef: np.ndarray, arg: np.ndarray,
 def _radial_grid(q: np.ndarray, p: np.ndarray):
     """Meshgrid of (q, p), the distinct r^2 = q^2 + p^2 on it (sorted), and
     for each grid point the index of its r^2 among them.  The arrays are
-    read-only, since `GridSpec` hands one copy to every pass on its grid."""
-    qg, pg = np.meshgrid(q, p, indexing="ij")
+    read-only, since `_radial_of` hands one copy to every pass on its grid;
+    the meshgrid is broadcast views of the axes, so what that cache keeps
+    alive between passes is the r^2 and their index alone."""
+    qg, pg = np.meshgrid(q, p, indexing="ij", copy=False)
     r2, inv = np.unique((qg**2 + pg**2).ravel(), return_inverse=True)
     radial = (qg, pg, r2, inv.reshape(qg.shape))
     for arr in radial:
         arr.setflags(write=False)
     return radial
+
+
+@lru_cache(maxsize=1)
+def _radial_of(q: bytes, p: bytes):
+    """`_radial_grid` of the axes with these bytes, kept for the last grid
+    only.  Keyed on the axes, so every GridSpec of one grid shares it
+    (`heated_wigner` makes a new default one per call), and specs that
+    compare equal but differ in a zero bound's sign do not."""
+    return _radial_grid(np.frombuffer(q), np.frombuffer(p))
 
 
 def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:

@@ -4,12 +4,17 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoqubit import cli, observables, thermal, verify
 from thermoqubit.observables import GridSpec
@@ -484,36 +489,124 @@ def test_wigner_grid_hot_negativity_suppressed(tmp_path):
 
 
 def edge_grid():
-    """(q, p, numeric, closed, row-writer rows) of a grid of edge values:
-    signed zero, the smallest subnormal, a tiny normal, a value that rounds
-    up to the next decade, and non-finite ones."""
+    """(q, p, numeric, closed) of a grid of edge values: signed zero, the
+    smallest subnormal, a tiny normal, a value that rounds up to the next
+    decade, and non-finite ones."""
     q = np.array([-1.0, 0.0, 0.5])
     p = np.array([-0.25, 0.0, 0.25, 1e-300])
     numeric = np.array([[-0.0, 5e-324, 1e-300, 0.99999999995],
                         [0.0, -5e-324, -1e-300, -0.99999999995],
                         [math.pi, np.nan, np.inf, -np.inf]])
     closed = numeric[::-1, ::-1] * -1.0
+    return q, p, numeric, closed
+
+
+@lru_cache(maxsize=None)
+def heated_grid(seed: int):
+    """(q, p, numeric, closed) of wigner-grid at n_bar = 1 on [-16, 16]^2
+    (where the default amplitudes' grid widens to), which has many 3-digit
+    exponents: the default amplitudes (seed 0) or a random real set."""
+    amps = thermal.DEFAULT_AMPLITUDES
+    if seed:
+        raw = np.random.default_rng(seed).normal(size=4)
+        amps = PhysicalAmplitudes(*(raw / np.linalg.norm(raw)))
+    params = thermal.ThermalParams.from_mean_occupation(1.0)
+    cutoff = thermal.auto_cutoff(1.0)
+    grid = GridSpec().doubled()
+    _, numeric = observables.heated_wigner(amps, params, cutoff, grid)
+    closed, _ = observables.wigner_closed_form(amps, params, numeric, cutoff)
+    return (closed.spec.q_axis(), closed.spec.p_axis(), numeric.values,
+            closed.values)
+
+
+def row_writer(q, p, numeric, closed, fmt) -> bytes:
+    """The wigner-grid output by `_rows_to_output` on `_fmt` cells."""
     rows = [[cli._fmt(qv), cli._fmt(pv), cli._fmt(wn), cli._fmt(wc)]
             for qv, numeric_row, closed_row in zip(q, numeric, closed)
             for pv, wn, wc in zip(p, numeric_row, closed_row)]
-    return q, p, numeric, closed, rows
+    return cli._rows_to_output(cli._WIGNER_HEADER, rows, fmt).encode()
 
 
 def test_wigner_csv_block_writer_matches_row_writer():
-    q, p, numeric, closed, rows = edge_grid()
-    expected = cli._rows_to_output(
-        ["q", "p", "w_numeric", "w_closed_form"], rows, "csv")
-    assert cli._wigner_csv(q, p, numeric, closed) == expected
-    assert "-0.000000000e+00" in expected and "1.000000000e+00" in expected
+    for grid in (edge_grid(), heated_grid(0), heated_grid(5)):
+        expected = row_writer(*grid, "csv")
+        assert cli._wigner_csv(*grid) == expected
+    assert re.search(rb"e-\d{3}\n", expected)  # 3-digit exponents
+    expected = row_writer(*edge_grid(), "csv")
+    assert b"-0.000000000e+00" in expected and b"1.000000000e+00" in expected
 
 
 def test_wigner_json_block_writer_matches_row_writer():
-    q, p, numeric, closed, rows = edge_grid()
-    expected = cli._rows_to_output(
-        ["q", "p", "w_numeric", "w_closed_form"], rows, "json")
-    assert cli._wigner_json(q, p, numeric, closed) == expected
-    for text in ('"-0.000000000e+00"', '"nan"', '"inf"', '"-inf"'):
+    for grid in (edge_grid(), heated_grid(0), heated_grid(5)):
+        expected = row_writer(*grid, "json")
+        assert cli._wigner_json(*grid) == expected
+    expected = row_writer(*edge_grid(), "json")
+    for text in (b'"-0.000000000e+00"', b'"nan"', b'"inf"', b'"-inf"'):
         assert text in expected
+
+
+def e9_texts(values) -> list[str]:
+    fields = cli._e9_fields(np.asarray(values, dtype=float))
+    return [row.tobytes().translate(None, b"\0").decode() for row in fields]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=16))
+def test_e9_fields_match_percent_format(values):
+    # NaN, +-inf, +-0 and subnormals included
+    assert e9_texts(values) == ["%.9e" % v for v in values]
+
+
+def test_e9_fields_match_percent_format_on_random_bits():
+    values = np.frombuffer(np.random.default_rng(17).bytes(8 * 10**5),
+                           np.float64)
+    assert e9_texts(values) == ["%.9e" % v for v in values.tolist()]
+
+
+def decimal_ties() -> list[float]:
+    """Doubles that are exact %.9e rounding ties: N / 2^s for odd N, with
+    11 significant digits, the last a 5, at s = 0, 3 and 7."""
+    rng = np.random.default_rng(4)
+    ties = [10000000005.0, 99999999995.0, 12345678905.0, 12345678915.0]
+    for s, whole_digits in ((0, 11), (3, 8), (7, 4)):
+        wholes = rng.integers(10 ** (whole_digits - 1), 10**whole_digits, 20)
+        odds = rng.integers(0, 2 ** max(s - 1, 0), 20) * 2 + 1
+        ties += [w + o / 2**s if s else float(w // 10 * 10 + 5)
+                 for w, o in zip(wholes.tolist(), odds.tolist())]
+    ties += [-t for t in ties]
+    for t in ties:
+        digits = Decimal(t).as_tuple().digits
+        assert len(digits) == 11 and digits[-1] == 5
+    return ties
+
+
+def near_ties() -> list[float]:
+    """The doubles nearest to 11-digit decimals that end in 5, across the
+    exponent range: a few millionths off the tie once scaled, on either
+    side, so the fast path's own rounding error could pick the wrong one."""
+    rng = np.random.default_rng(6)
+    return [float(f"{whole}5e{e}")
+            for e in range(-310, 300, 7)
+            for whole in rng.integers(10**9, 10**10, 4).tolist()]
+
+
+def test_e9_fields_exact_on_ties_carries_and_extremes(monkeypatch):
+    fallbacks = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: fallbacks.append(v) or fmt(v))
+    ties = decimal_ties() + near_ties()
+    carries = [9.9999999995, 9.99999999951, 0.99999999995, 9.999999999499,
+               9.9999999999e-150, 9.9999999999e150]
+    extremes = [1e100, -1e-100, 1.234567891e-150, 6.02214076e203, 1e-299,
+                9.99e-300, 1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+                sys.float_info.max, -sys.float_info.max,
+                0.0, -0.0, math.nan, math.inf, -math.inf]
+    values = ties + carries + extremes
+    assert e9_texts(values) == ["%.9e" % v for v in values]
+    # the fallback ran: on every tie, and on the carries and off-table values
+    assert set(ties) <= set(fallbacks)
+    assert {9.99999999951, 9.9999999999e150, 9.99e-300, 5e-324,
+            math.inf} <= set(fallbacks)
 
 
 def test_wigner_grid_json_matches_csv(tmp_path):
@@ -526,6 +619,26 @@ def test_wigner_grid_json_matches_csv(tmp_path):
     records = json.loads(outs["json"].read_text())
     assert records == read_csv(outs["csv"])
     assert len(records) == 9 * 7
+
+
+def test_wigner_grid_to_stdout_is_csv_then_sidecar(tmp_path):
+    # a fresh process, so stdout is the real one: the CSV goes to its
+    # binary buffer and the sidecar after it through the text layer
+    argv = ["wigner-grid", "--nbar", "1", "--grid=-3:3:9,-2:2:7"]
+    out = tmp_path / "w.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from thermoqubit.cli import main; sys.exit(main())",
+         *argv, "--out", "-"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (out.read_bytes()
+                           + Path(str(out) + ".meta.json").read_bytes())
 
 
 def counted_kernel(monkeypatch) -> list:
@@ -643,9 +756,18 @@ def test_verify_evaluates_each_wigner_grid_once(monkeypatch):
         return kernel(rho, spec)
 
     monkeypatch.setattr(observables, "_wigner_values", counted)
+    # nor is a grid's radial factorization computed twice: the n_bar = 0,
+    # 0.1 and 0.3 states share the default grid's, whichever GridSpec
+    # instance they hold
+    radial = []
+    factorize = observables._radial_grid
+    monkeypatch.setattr(observables, "_radial_grid",
+                        lambda q, p: radial.append(q.size) or factorize(q, p))
+    observables._radial_of.cache_clear()
     report = verify.run_verification()
     assert report["counts"]["total"] == 85 and report["all_passed"]
     assert len(set(seen)) == len(seen)
+    assert radial == [257, 257, 257, 201]  # [-8, 8]^2 to [-32, 32]^2, small
 
 
 def test_verify_builds_each_heated_density_once(monkeypatch):

@@ -480,6 +480,16 @@ def test_negativity_fades_with_temperature():
 # exact route
 # ---------------------------------------------------------------------------
 
+def test_radial_grid_is_shared_by_equal_axes_only():
+    # one factorization serves every GridSpec of a grid; grids whose specs
+    # compare equal but whose axes differ in a zero's sign get their own
+    assert GridSpec()._radial is GridSpec()._radial
+    qg_plus = GridSpec(-1.0, 0.0, -1.0, 1.0, 3, 3)._radial[0]
+    qg_minus = GridSpec(-1.0, -0.0, -1.0, 1.0, 3, 3)._radial[0]
+    assert GridSpec(-1.0, 0.0) == GridSpec(-1.0, -0.0)
+    assert not np.signbit(qg_plus[-1]).any() and np.signbit(qg_minus[-1]).all()
+
+
 @st.composite
 def amplitude_sets(draw):
     """Normalized amplitudes, real or complex."""
