@@ -476,10 +476,6 @@ def test_negativity_fades_with_temperature():
     assert wigner_negativity(cold) > 0.0
 
 
-# ---------------------------------------------------------------------------
-# exact route
-# ---------------------------------------------------------------------------
-
 def test_radial_grid_is_shared_by_equal_axes_only():
     # one factorization serves every GridSpec of a grid; grids whose specs
     # compare equal but whose axes differ in a zero's sign get their own
@@ -489,6 +485,10 @@ def test_radial_grid_is_shared_by_equal_axes_only():
     assert GridSpec(-1.0, 0.0) == GridSpec(-1.0, -0.0)
     assert not np.signbit(qg_plus[-1]).any() and np.signbit(qg_minus[-1]).all()
 
+
+# ---------------------------------------------------------------------------
+# exact route
+# ---------------------------------------------------------------------------
 
 @st.composite
 def amplitude_sets(draw):
