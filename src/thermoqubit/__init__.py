@@ -28,9 +28,7 @@ from .fock import (
     FockMatrix,
     FockVector,
     build_ladder,
-    identity,
     reduce_pure_state,
-    tensor_product,
 )
 from .gates import (
     LogicalState,
@@ -50,7 +48,6 @@ from .observables import (
     fidelity_columns,
     fidelity_numeric,
     heated_wigner,
-    laguerre_assoc,
     mandel_closed_form,
     mandel_columns,
     mandel_numeric,
@@ -65,13 +62,10 @@ from .thermal import (
     ThermalParams,
     auto_cutoff,
     beta_omega_from_occupation,
-    bogoliubov_unitary,
     gate_thermalization_residual,
-    mean_occupation,
     thermal_number_states,
     thermal_state_density_expansion,
     thermal_state_density_operator,
-    thermal_superposition_state,
     thermal_vacuum_density,
 )
 from .verify import run_verification
@@ -95,7 +89,6 @@ __all__ = [
     "WignerGrid",
     "auto_cutoff",
     "beta_omega_from_occupation",
-    "bogoliubov_unitary",
     "build_ladder",
     "cnot_logical",
     "decode",
@@ -106,20 +99,15 @@ __all__ = [
     "fidelity_numeric",
     "gate_thermalization_residual",
     "half_period_gate_matrix",
-    "identity",
     "heated_wigner",
-    "laguerre_assoc",
     "mandel_closed_form",
     "mandel_columns",
     "mandel_numeric",
-    "mean_occupation",
     "reduce_pure_state",
     "run_verification",
-    "tensor_product",
     "thermal_number_states",
     "thermal_state_density_expansion",
     "thermal_state_density_operator",
-    "thermal_superposition_state",
     "thermal_vacuum_density",
     "wigner_closed_form",
     "wigner_exact",

@@ -81,11 +81,6 @@ class SweepConfig:
     def n_bar_values(self) -> np.ndarray:
         return np.linspace(self.n_bar_start, self.n_bar_end, self.n_bar_steps)
 
-    def resolved_cutoff(self, n_bar: float) -> int:
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
-        return thermal.resolve_cutoff(
-            None if self.cutoff == "auto" else self.cutoff, params, self.tail_tol)
-
 
 def _write_text(path: str, text: str):
     if path == "-":
@@ -275,7 +270,9 @@ def cmd_sweep_mandel(cfg: SweepConfig) -> str:
     """n_bar sweep of numeric and closed-form Mandel Q with regime labels;
     a block's cutoffs are resolved in order before it is read."""
     def reader(n_bar):
-        cutoffs = [cfg.resolved_cutoff(value) for value in n_bar.tolist()]
+        cutoffs = [thermal.resolve_cutoff(
+            cfg.cutoff, thermal.ThermalParams.from_mean_occupation(value),
+            cfg.tail_tol) for value in n_bar.tolist()]
         return observables.mandel_columns(cfg.amps, n_bar, cutoffs)
 
     columns = _sweep_columns(cfg, reader)
@@ -295,7 +292,7 @@ def cmd_wigner_grid(cfg: SweepConfig) -> bytes:
     shared by the w_numeric column and the closed-form audit."""
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
     params = thermal.ThermalParams.from_mean_occupation(n_bar)
-    cutoff = cfg.resolved_cutoff(n_bar)
+    cutoff = thermal.resolve_cutoff(cfg.cutoff, params, cfg.tail_tol)
     # far enough out, a grid's powers of q and p overflow: the values are
     # checked below instead
     with np.errstate(over="ignore", invalid="ignore"):

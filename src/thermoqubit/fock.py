@@ -9,7 +9,7 @@ space "original x tilde" with the composite index convention
 
 i.e. the original mode's occupation n varies fastest.  All operations are
 pure functions of their inputs; the wrapped arrays are frozen after
-construction so values can be shared freely between threads.
+construction.
 """
 
 from __future__ import annotations
@@ -50,26 +50,15 @@ class FockMatrix:
                 f"dim {self.data.shape[0]} != (cutoff+1)^mode_count = {expected}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
     def __matmul__(self, other):
-        if isinstance(other, FockMatrix):
-            self._check_compatible(other)
-            return FockMatrix(self.data @ other.data, self.cutoff, self.mode_count)
-        if isinstance(other, FockVector):
-            if (other.cutoff, other.mode_count) != (self.cutoff, self.mode_count):
-                raise ValueError("operator and vector live on different spaces")
-            return FockVector(self.data @ other.data, self.cutoff, self.mode_count)
-        return NotImplemented
-
-    def _check_compatible(self, other: "FockMatrix"):
+        if not isinstance(other, FockVector):
+            return NotImplemented
         if (other.cutoff, other.mode_count) != (self.cutoff, self.mode_count):
-            raise ValueError("operands live on different Fock spaces")
+            raise ValueError("operator and vector live on different spaces")
+        return FockVector(self.data @ other.data, self.cutoff, self.mode_count)
 
 
 @dataclass(frozen=True)
@@ -92,17 +81,6 @@ class FockVector:
                 f"dim {self.data.shape[0]} != (cutoff+1)^mode_count = {expected}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def projector(self) -> FockMatrix:
-        return FockMatrix(np.outer(self.data, self.data.conj()),
-                          self.cutoff, self.mode_count)
-
 
 def build_ladder(cutoff: int) -> tuple[FockMatrix, FockMatrix]:
     """Single-mode lowering and raising operators at the given cutoff.
@@ -118,35 +96,14 @@ def build_ladder(cutoff: int) -> tuple[FockMatrix, FockMatrix]:
             FockMatrix(lowering.conj().T, cutoff))
 
 
-def identity(cutoff: int, mode_count: int = 1) -> FockMatrix:
-    return FockMatrix(np.eye((cutoff + 1) ** mode_count), cutoff, mode_count)
-
-
-def tensor_product(a: FockMatrix, b: FockMatrix) -> FockMatrix:
-    """Two-mode operator acting as `a` on the original mode and `b` on the
-    tilde mode, laid out in the composite index convention above."""
-    if a.mode_count != 1 or b.mode_count != 1:
-        raise ValueError("tensor_product expects two single-mode operators")
-    if a.cutoff != b.cutoff:
-        raise ValueError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    # original mode fastest => tilde factor is the slow (left) kron factor
-    return FockMatrix(np.kron(b.data, a.data), a.cutoff, mode_count=2)
-
-
-def reduce_pure_state(v: FockVector, keep: str = "original") -> FockMatrix:
-    """Reduced single-mode density matrix of a pure two-mode state.
-
-    Equivalent to the partial trace of v.projector() but never forms the
-    (dim^2 x dim^2) projector, so it stays cheap at large cutoffs.
+def reduce_pure_state(v: FockVector) -> FockMatrix:
+    """Reduced density matrix of the original mode of a pure two-mode
+    state: the partial trace over the tilde mode of |v><v|, without
+    forming that (dim^2 x dim^2) projector, so it stays cheap at large
+    cutoffs.
     """
     if v.mode_count != 2:
         raise ValueError("reduce_pure_state expects a two-mode vector")
     d = v.cutoff + 1
     m = v.data.reshape(d, d)  # [n_tilde, n]
-    if keep == "original":
-        reduced = m.T @ m.conj()
-    elif keep == "tilde":
-        reduced = m @ m.conj().T
-    else:
-        raise ValueError("keep must be 'original' or 'tilde'")
-    return FockMatrix(reduced, v.cutoff, mode_count=1)
+    return FockMatrix(m.T @ m.conj(), v.cutoff, mode_count=1)

@@ -34,6 +34,7 @@ every value has the bits a point-by-point evaluation gives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -51,6 +52,7 @@ from .thermal import (
     _ladder_coefficients,
     resolve_cutoff,
     thermal_state_density_expansion,
+    validate_cutoff,
 )
 
 GRID_TOL_DEFAULT = 1e-6
@@ -357,17 +359,22 @@ def _mandel_values(amps: PhysicalAmplitudes, n_bar: np.ndarray, cutoffs
     return q, mean
 
 
-def mandel_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
-                   cutoff=None) -> float:
-    """Q = (<N^2> - <N>^2 - <N>) / <N> on the heated state."""
-    amps.require_normalized()
-    cutoff = resolve_cutoff(cutoff, params)
+def _mandel_point(amps: PhysicalAmplitudes, params: ThermalParams,
+                  cutoff: int) -> float:
+    """`mandel_numeric` at a resolved cutoff."""
     q, mean_n = _mandel_values(amps, np.array([params.n_bar]), [cutoff])
     if mean_n[0] < _MEAN_OCCUPATION_EPS:
         raise MandelUndefinedError(
             f"<N> = {mean_n[0]:.3e}: Mandel Q undefined on a zero-occupation "
             f"state")
     return float(q[0])
+
+
+def mandel_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
+                   cutoff=None) -> float:
+    """Q = (<N^2> - <N>^2 - <N>) / <N> on the heated state."""
+    amps.require_normalized()
+    return _mandel_point(amps, params, resolve_cutoff(cutoff, params))
 
 
 def _mandel_coefficients(amps: PhysicalAmplitudes) -> dict:
@@ -418,11 +425,21 @@ def mandel_columns(amps: PhysicalAmplitudes, n_bar, cutoffs
     The values are those `mandel_closed_form` reports point by point, bit
     for bit.  Where either form is undefined (a zero-occupation state,
     where the point-by-point functions raise MandelUndefinedError) all
-    three are NaN.  The cutoffs are taken as given, not validated; an n_bar
-    that is not finite and nonnegative raises ValueError.
+    three are NaN.  Raises ValueError at the first n_bar that is not
+    finite and nonnegative, for a cutoff count other than the n_bar count
+    or a cutoff that is not an integer, and CutoffError at the first
+    cutoff `validate_cutoff` rejects at its n_bar.
     """
     amps.require_normalized()
     n_bar = _block_n_bar(n_bar)
+    cutoffs = list(cutoffs)
+    if len(cutoffs) != len(n_bar):
+        raise ValueError(f"{len(cutoffs)} cutoffs for {len(n_bar)} n_bar "
+                         f"values")
+    for value, cutoff in zip(n_bar.tolist(), cutoffs):
+        if not isinstance(cutoff, numbers.Integral):
+            raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+        validate_cutoff(cutoff, ThermalParams.from_mean_occupation(value))
     closed, den = _mandel_series(amps, n_bar)
     numeric, mean_n = _mandel_values(amps, n_bar, cutoffs)
     undefined = (den < _MEAN_OCCUPATION_EPS) | (mean_n < _MEAN_OCCUPATION_EPS)
@@ -452,7 +469,7 @@ def mandel_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
         raise MandelUndefinedError(
             f"denominator c1 v^2 + c2 u^2 = {den[0]:.3e}: Mandel Q undefined")
     cutoff = resolve_cutoff(cutoff, params)
-    numeric = mandel_numeric(amps, params, cutoff)
+    numeric = _mandel_point(amps, params, cutoff)
     return ObservableReport.compare(
         numeric, closed[0], _echo_params(amps, params, cutoff=cutoff))
 
@@ -461,30 +478,15 @@ def mandel_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
 # associated Laguerre functions
 # ---------------------------------------------------------------------------
 
-def laguerre_assoc(n: int, k: int, arg):
-    """L_n^k(arg) by the stable three-term recurrence.
-
-    L_m^k = ((2m - 1 + k - arg) L_{m-1}^k - (m - 1 + k) L_{m-2}^k) / m,
-    with L_0 = 1 and L_1 = 1 + k - arg: `_laguerre_sums` of one one-hot
-    row under a unit envelope.  Accepts scalar or array argument.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("laguerre_assoc requires n >= 0 and k >= 0")
-    if n > 600:
-        raise ValueError(f"degree {n} beyond the supported range (600)")
-    arg = np.asarray(arg, dtype=float)
-    out = _laguerre_sums([k], np.eye(1, n + 1, n), arg.ravel(),
-                         np.ones(arg.size))[0].reshape(arg.shape)
-    return out if arg.ndim else float(out)
-
-
 def _laguerre_sums(ks, coef: np.ndarray, arg: np.ndarray,
                    envelope: np.ndarray) -> np.ndarray:
     """sums[i] = sum_m coef[i, m] L_m^ks[i](arg) envelope for each row i.
 
-    L comes from the recurrence of `laguerre_assoc` run on the
-    envelope-scaled functions, which is exact (it is linear) and keeps
-    intermediates bounded where the bare polynomials would overflow.  Rows
+    L comes from the stable three-term recurrence
+    L_m^k = ((2m - 1 + k - arg) L_{m-1}^k - (m - 1 + k) L_{m-2}^k) / m,
+    with L_0 = 1 and L_1 = 1 + k - arg, run on the envelope-scaled
+    functions, which is exact (it is linear) and keeps intermediates
+    bounded where the bare polynomials would overflow.  Rows
     with the same superscript share one recurrence, up to the last nonzero
     coefficient of any of them; all superscripts step together in three
     reused buffers.  Each row is summed from +0 in increasing m, so zero

@@ -37,36 +37,42 @@ _AMPLITUDE_TOL = 1e-12  # on |norm - 1| and on each imaginary part
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Temperature scalars: beta*omega, n_bar and the Bogoliubov factors.
+    """Temperature scalars of one thermal occupation n_bar.
 
-    Invariants (up to rounding): n_bar = 1/(exp(beta_omega) - 1),
-    u = sqrt(1 + n_bar), v = sqrt(n_bar), u^2 - v^2 = 1,
-    theta = arcsinh(sqrt(n_bar)).
+    n_bar is the one stored value; beta_omega = log(1 + 1/n_bar),
+    u = sqrt(1 + n_bar), v = sqrt(n_bar) and theta = arcsinh(sqrt(n_bar))
+    follow from it, so u^2 - v^2 = 1, u = cosh(theta) and v = sinh(theta)
+    up to rounding.
     """
 
-    beta_omega: float
     n_bar: float
-    u: float
-    v: float
-    theta: float
 
-    @classmethod
-    def from_beta_omega(cls, beta_omega: float) -> "ThermalParams":
-        return cls.from_mean_occupation(mean_occupation(beta_omega))
-
-    @classmethod
-    def from_mean_occupation(cls, n_bar: float) -> "ThermalParams":
-        n_bar = float(n_bar)
+    def __post_init__(self):
+        n_bar = float(self.n_bar)
         if not (math.isfinite(n_bar) and n_bar >= 0.0):
             raise ValueError(f"n_bar must be finite and nonnegative, got "
                              f"{n_bar}")
-        return cls(
-            beta_omega=beta_omega_from_occupation(n_bar),
-            n_bar=n_bar,
-            u=math.sqrt(1.0 + n_bar),
-            v=math.sqrt(n_bar),
-            theta=math.asinh(math.sqrt(n_bar)),
-        )
+        object.__setattr__(self, "n_bar", n_bar)
+
+    @classmethod
+    def from_mean_occupation(cls, n_bar: float) -> "ThermalParams":
+        return cls(n_bar)
+
+    @property
+    def beta_omega(self) -> float:
+        return beta_omega_from_occupation(self.n_bar)
+
+    @property
+    def u(self) -> float:
+        return math.sqrt(1.0 + self.n_bar)
+
+    @property
+    def v(self) -> float:
+        return math.sqrt(self.n_bar)
+
+    @property
+    def theta(self) -> float:
+        return math.asinh(math.sqrt(self.n_bar))
 
     @property
     def k(self) -> float:
@@ -79,15 +85,9 @@ class ThermalParams:
         return self.n_bar / (1.0 + self.n_bar)
 
 
-def mean_occupation(beta_omega: float) -> float:
-    """Bose-Einstein occupation 1/(exp(beta*omega) - 1) of a single mode."""
-    if not beta_omega > 0:
-        raise ValueError(f"beta*omega must be positive, got {beta_omega}")
-    return 1.0 / math.expm1(beta_omega)
-
-
 def beta_omega_from_occupation(n_bar: float) -> float:
-    """Inverse of mean_occupation; returns +inf at n_bar = 0."""
+    """beta*omega of the Bose-Einstein occupation n_bar = 1/(exp(beta*omega)
+    - 1); returns +inf at n_bar = 0."""
     if n_bar < 0:
         raise ValueError(f"mean occupation must be nonnegative, got {n_bar}")
     if n_bar == 0:
@@ -387,7 +387,8 @@ def _pair_sector_indices(cutoff: int, sector: int) -> np.ndarray:
 
 
 def _sector_couplings(cutoff: int, sector: int) -> np.ndarray:
-    """Sub-diagonal couplings sqrt((n+1)(nt+1)) of `_sector_generator`."""
+    """Sub-diagonal couplings sqrt((n+1)(nt+1)) of the pair generator's
+    block in one n - n_tilde sector (see `_sector_exponential`)."""
     size = cutoff + 1 - abs(sector)
     j = np.arange(size - 1, dtype=float)
     if sector >= 0:
@@ -395,21 +396,14 @@ def _sector_couplings(cutoff: int, sector: int) -> np.ndarray:
     return np.sqrt((j + 1.0) * (j - sector + 1.0))
 
 
-def _sector_generator(cutoff: int, sector: int) -> np.ndarray:
-    """Pair-creation generator restricted to one n - n_tilde sector.
-
-    The two-mode generator a^+ a^+_tilde - a a_tilde couples |n, nt> only
-    to |n+1, nt+1>, so it is block-diagonal over sectors; within a sector
-    the sub-diagonal couplings are sqrt((n+1)(nt+1)).
-    """
-    coup = _sector_couplings(cutoff, sector)
-    return np.diag(coup, -1) - np.diag(coup, 1)
-
-
 def _sector_exponential(theta: float, cutoff: int, sector: int) -> np.ndarray:
-    """exp(theta G) for the sector generator G of `_sector_generator`.
+    """One n - n_tilde sector's block of the Bogoliubov unitary
+    U(beta) = exp(theta G), G = a^+ a^+_tilde - a a_tilde.  G couples
+    |n, nt> only to |n+1, nt+1>, so it is block-diagonal over sectors.
+    In this real convention U(beta) maps the doubled vacuum to
+    sum_n sech(theta) tanh(theta)^n |n, n>, all coefficients nonnegative.
 
-    G is real antisymmetric tridiagonal with couplings c.  With
+    G's block is real antisymmetric tridiagonal with couplings c.  With
     S = diag(i^j), S^+ G S = -i T, where T is the real symmetric tridiagonal
     matrix with the same couplings, so
 
@@ -427,33 +421,13 @@ def _sector_exponential(theta: float, cutoff: int, sector: int) -> np.ndarray:
             * s.conj()[None, :]).real
 
 
-def bogoliubov_unitary(params: ThermalParams, cutoff: int) -> FockMatrix:
-    """exp(theta (a^+ a^+_tilde - a a_tilde)) on the doubled truncated space.
-
-    Real-generator convention: the doubled vacuum maps to the two-mode
-    squeezed vacuum with nonnegative coefficients sech(theta) tanh(theta)^n,
-    matching the manifestly positive thermal density matrix.  Computed
-    sector by sector (the generator is block-diagonal over n - n_tilde),
-    which is exactly equivalent to exponentiating the full generator.
-    """
-    validate_cutoff(cutoff, params)
-    d = cutoff + 1
-    # the sector blocks are real: the complex copy FockMatrix makes of this
-    # float matrix is the only complex one
-    u = np.zeros((d * d, d * d))
-    for sector in range(-cutoff, cutoff + 1):
-        idx = _pair_sector_indices(cutoff, sector)
-        u[np.ix_(idx, idx)] = _sector_exponential(params.theta, cutoff, sector)
-    return FockMatrix(u, cutoff, mode_count=2)
-
-
 def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
                       inverse: bool = False) -> np.ndarray:
     """U(beta) data, or U^+(beta) data with inverse=True, for two-mode
     vector data, without forming U(beta).
 
     U(beta) is block-diagonal over the n - n_tilde sectors (see
-    `bogoliubov_unitary`), so each sector block acts on its own slice of
+    `_sector_exponential`), so each sector block acts on its own slice of
     the vector.  Only the sectors that data's nonzero entries occupy are
     exponentiated; the others map zero to zero.  The blocks are real
     orthogonal, so U^+ applies each block transposed.
@@ -517,15 +491,9 @@ def thermal_number_states(params: ThermalParams, cutoff: int) -> list[FockVector
     ]
 
 
-def thermal_superposition_state(amps: PhysicalAmplitudes,
-                                params: ThermalParams, cutoff: int) -> FockVector:
-    """|Psi(b)> = x|0(b)> + y|1(b)> + z|2(b)> + w|4(b)> on the doubled space."""
-    amps.require_normalized()
-    return _superpose(amps, thermal_number_states(params, cutoff))
-
-
 def _superpose(amps: PhysicalAmplitudes, states: list[FockVector]) -> FockVector:
-    """x s0 + y s1 + z s2 + w s4 over `thermal_number_states` output."""
+    """|Psi(b)> = x|0(b)> + y|1(b)> + z|2(b)> + w|4(b)> on the doubled
+    space, from `thermal_number_states` output."""
     s0, s1, s2, s4 = states
     cutoff = s0.cutoff
     x, y, z, w = amps.as_tuple()

@@ -53,7 +53,7 @@ def _density_checks(amps, params, cutoff, rho_exp):
     # superposition and the doubled-vacuum identities below
     states = thermal.thermal_number_states(params, cutoff)
     psi_beta = thermal._superpose(amps, states)
-    rho_red = fock.reduce_pure_state(psi_beta, keep="original")
+    rho_red = fock.reduce_pure_state(psi_beta)
 
     yield _check("density_agreement_expansion_vs_operator",
                  np.abs(rho_exp.data - rho_op.data).max(), 1e-9, n_bar,
@@ -93,7 +93,7 @@ def _density_checks(amps, params, cutoff, rho_exp):
     yield _check("doubled_expectation_number_squared",
                  abs(lhs_n2 - rhs_n2), 1e-9, n_bar)
     yield _check("doubled_mean_occupation", abs(lhs_n - n_bar), 1e-10, n_bar)
-    red_vac = fock.reduce_pure_state(vac, keep="original")
+    red_vac = fock.reduce_pure_state(vac)
     yield _check("bogoliubov_reduction_geometric",
                  np.abs(np.diag(red_vac.data).real - rho_b).max()
                  + np.abs(red_vac.data - np.diag(np.diag(red_vac.data))).max(),
@@ -245,30 +245,27 @@ def _wigner_checks(heated_checks, cold_neg, hot):
 
 
 def _closed_form_audits(amps, wigner_audits):
-    for n_bar, wigner_audit in zip(CLOSED_FORM_N_BARS, wigner_audits,
-                                    strict=True):
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
+    for params, cutoff, wigner_audit in wigner_audits:
         fid = observables.fidelity_closed_form(amps, params)
         yield _check("fidelity_closed_form_audit", fid.abs_discrepancy,
-                     None, n_bar,
+                     None, params.n_bar,
                      f"numeric={fid.value_numeric:.9e} "
                      f"closed={fid.value_closed_form:.9e}")
-        yield _mandel_audit(amps, params)
+        yield _mandel_audit(amps, params, cutoff)
         yield wigner_audit
 
 
-def _mandel_audit(amps, params):
+def _mandel_audit(amps, params, cutoff):
     n_bar = params.n_bar
     tol = 1e-9 if n_bar == 0.0 else None
     try:
-        mandel = observables.mandel_closed_form(amps, params)
+        mandel = observables.mandel_closed_form(amps, params, cutoff)
     except MandelUndefinedError:
         # Q is undefined where <N> = 0 (numeric route) or where
         # c1 v^2 + c2 u^2 = 0 (printed route): they agree if both say so
         point = np.array([n_bar])
         numeric, closed = (math.isnan(q[0]) for q, _ in (
-            observables._mandel_values(amps, point,
-                                       [thermal.auto_cutoff(n_bar)]),
+            observables._mandel_values(amps, point, [cutoff]),
             observables._mandel_series(amps, point)))
         agree = numeric and closed
         return CheckResult(
@@ -298,7 +295,8 @@ def run_verification(amps: thermal.PhysicalAmplitudes | None = None) -> dict:
             heated_checks.extend(_heated_wigner_checks(n_bar, cutoff, rho, w))
             negativities.append(observables.wigner_negativity(w))
         if n_bar in CLOSED_FORM_N_BARS:
-            wigner_audits.append(_wigner_audit(amps, params, w, cutoff))
+            wigner_audits.append(
+                (params, cutoff, _wigner_audit(amps, params, w, cutoff)))
         del w
         checks.extend(_density_checks(amps, params, cutoff, rho))
     checks.extend(_gate_checks(amps, rng))

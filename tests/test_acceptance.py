@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from dense_oracles import bogoliubov_unitary
 from thermoqubit import cli
 from thermoqubit.fock import FockVector, reduce_pure_state
 from thermoqubit.observables import (
@@ -22,11 +23,11 @@ from thermoqubit.observables import (
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     ThermalParams,
+    _superpose,
     auto_cutoff,
-    bogoliubov_unitary,
+    thermal_number_states,
     thermal_state_density_expansion,
     thermal_state_density_operator,
-    thermal_superposition_state,
     thermal_vacuum_density,
 )
 
@@ -139,7 +140,7 @@ def test_criterion_07_density_triple_agreement():
         rho_e = thermal_state_density_expansion(AMPS, params, cutoff)
         rho_o = thermal_state_density_operator(AMPS, params, cutoff)
         rho_d = reduce_pure_state(
-            thermal_superposition_state(AMPS, params, cutoff))
+            _superpose(AMPS, thermal_number_states(params, cutoff)))
         for rho in (rho_e, rho_o, rho_d):
             assert np.abs(rho.data - rho.data.conj().T).max() < 1e-12
             assert abs(rho.trace().real - 1.0) < 1e-9
@@ -172,7 +173,7 @@ def test_criterion_09_bogoliubov_consistency():
     vac = np.zeros(d * d)
     vac[0] = 1.0
     thermal_vac = unitary @ FockVector(vac, cutoff, mode_count=2)
-    red = reduce_pure_state(thermal_vac, keep="original")
+    red = reduce_pure_state(thermal_vac)
     geometric = thermal_vacuum_density(params, cutoff)
     dev = np.abs(red.data - geometric.data).max()
     assert dev < 1e-10

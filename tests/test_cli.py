@@ -805,6 +805,25 @@ def test_verify_builds_each_doubled_vacuum_once(monkeypatch):
     assert calls == list(verify.DEFAULT_N_BARS)
 
 
+@pytest.mark.parametrize("amps", [thermal.DEFAULT_AMPLITUDES,
+                                  PhysicalAmplitudes(1, 0, 0, 0)],
+                         ids=["default", "vacuum"])
+def test_verify_resolves_each_cutoff_once(monkeypatch, amps):
+    # one cutoff per DEFAULT_N_BARS point serves its density checks, Wigner
+    # checks and closed-form audits (the vacuum's Q is undefined at
+    # n_bar = 0); mandel_thermal_identity resolves its 4 points itself
+    calls = []
+    select = thermal.auto_cutoff
+
+    def counted(n_bar, *args):
+        calls.append(n_bar)
+        return select(n_bar, *args)
+
+    monkeypatch.setattr(thermal, "auto_cutoff", counted)
+    assert verify.run_verification(amps)["all_passed"]
+    assert calls == [*verify.DEFAULT_N_BARS, 0.1, 0.5, 1.0, 5.0]
+
+
 def test_verify_density_checks_take_complex_amplitudes():
     # verify runs real amplitudes only, whose rho goes to the real
     # eigensolver; a complex set takes the complex one

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoqubit import cli, observables
-from thermoqubit.errors import MandelUndefinedError
+from thermoqubit.errors import CutoffError, MandelUndefinedError
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     PhysicalAmplitudes,
@@ -20,6 +20,7 @@ from thermoqubit.thermal import (
     _complex_div,
     _mul_conj,
     auto_cutoff,
+    resolve_cutoff,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -53,6 +54,11 @@ def sweep_configs(draw):
                            n_bar_end=end, n_bar_steps=steps)
 
 
+def resolved_cutoff(cfg, n_bar):
+    """The cutoff `sweep-mandel` resolves at n_bar."""
+    return resolve_cutoff(cfg.cutoff, ThermalParams(n_bar), cfg.tail_tol)
+
+
 def point_by_point(cfg, closed_form):
     """(n_bar, numeric, closed form, discrepancy) rows from the per-point
     public function `closed_form(params)`, with the NaN row the sweep
@@ -82,10 +88,10 @@ def test_fidelity_blocks_match_points_bit_for_bit(cfg):
 @given(cfg=sweep_configs())
 def test_mandel_blocks_match_points_bit_for_bit(cfg):
     columns = cli._sweep_columns(cfg, lambda n_bar: observables.mandel_columns(
-        cfg.amps, n_bar, [cfg.resolved_cutoff(v) for v in n_bar.tolist()]))
+        cfg.amps, n_bar, [resolved_cutoff(cfg, v) for v in n_bar.tolist()]))
     assert [bits(c) for c in columns] == point_by_point(
         cfg, lambda params: observables.mandel_closed_form(
-            cfg.amps, params, cfg.resolved_cutoff(params.n_bar)))
+            cfg.amps, params, resolved_cutoff(cfg, params.n_bar)))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -245,6 +251,39 @@ def test_block_readers_reject_bad_n_bar(bad, at):
         observables.fidelity_columns(DEFAULT_AMPLITUDES, n_bar)
     with pytest.raises(ValueError, match=message):
         observables.mandel_columns(DEFAULT_AMPLITUDES, n_bar, [8] * len(n_bar))
+
+
+@pytest.mark.parametrize("n_bar, cutoffs, error, message", [
+    # below the floor of 8: the cutoff would drop |4> or the ladder shift
+    ([1.0], [3], CutoffError, "cutoff 3 below the minimum 8"),
+    ([1.0], [-5], CutoffError, "cutoff -5 below the minimum 8"),
+    # where mandel_numeric raises for the same point
+    ([14.0], [20], CutoffError, "cutoff 20 leaves geometric tail mass"),
+    ([1.0], [2.5], ValueError, "cutoff must be an integer, got 2.5"),
+    ([1.0], [np.float64(60.0)], ValueError, "cutoff must be an integer"),
+    ([0.5, 1.0], [60], ValueError, "1 cutoffs for 2 n_bar values"),
+    ([1.0], [60, 60], ValueError, "2 cutoffs for 1 n_bar values"),
+    # the first bad point is named, whatever follows it
+    ([0.1, 14.0, 1.0], [16, 20, 2.5], CutoffError, "at n_bar = 14.0"),
+], ids=["below-floor", "negative", "tail", "fraction", "float-type",
+        "too-few", "too-many", "first-bad-point"])
+def test_mandel_columns_rejects_bad_cutoffs(n_bar, cutoffs, error, message):
+    with pytest.raises(error, match=message):
+        observables.mandel_columns(DEFAULT_AMPLITUDES, n_bar, cutoffs)
+
+
+def test_mandel_columns_cutoff_error_matches_mandel_numeric():
+    params = ThermalParams(14.0)
+    with pytest.raises(CutoffError) as numeric:
+        observables.mandel_numeric(DEFAULT_AMPLITUDES, params, 20)
+    with pytest.raises(CutoffError) as columns:
+        observables.mandel_columns(DEFAULT_AMPLITUDES, [14.0], [20])
+    assert str(columns.value) == str(numeric.value)
+    # numpy integers are integers
+    numeric, _, _ = observables.mandel_columns(
+        DEFAULT_AMPLITUDES, [1.0], [np.int64(auto_cutoff(1.0))])
+    assert numeric[0] == observables.mandel_numeric(
+        DEFAULT_AMPLITUDES, ThermalParams(1.0))
 
 
 @pytest.mark.parametrize("end", ["n_bar_start", "n_bar_end"])

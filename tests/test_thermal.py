@@ -1,18 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from dense_oracles import (
+    bogoliubov_unitary,
+    identity,
+    sector_generator,
+    tensor_product,
+)
 from thermoqubit import thermal
 from thermoqubit.errors import CutoffError
 from thermoqubit.fock import (
     FockMatrix,
     FockVector,
     build_ladder,
-    identity,
     reduce_pure_state,
-    tensor_product,
 )
 from thermoqubit.gates import half_period_gate_matrix
 from thermoqubit.thermal import (
@@ -20,18 +25,15 @@ from thermoqubit.thermal import (
     _apply_original,
     _bogoliubov_apply,
     _sector_exponential,
-    _sector_generator,
+    _superpose,
     PhysicalAmplitudes,
     ThermalParams,
     auto_cutoff,
     beta_omega_from_occupation,
-    bogoliubov_unitary,
     gate_thermalization_residual,
-    mean_occupation,
     thermal_number_states,
     thermal_state_density_expansion,
     thermal_state_density_operator,
-    thermal_superposition_state,
     thermal_vacuum_density,
     validate_cutoff,
 )
@@ -53,26 +55,13 @@ def doubled_vacuum(cutoff):
 # temperature scalars
 # ---------------------------------------------------------------------------
 
-def test_mean_occupation_known_values():
-    assert mean_occupation(math.log(2.0)) == pytest.approx(1.0, abs=1e-14)
-    assert mean_occupation(math.log(4.0 / 3.0)) == pytest.approx(3.0, abs=1e-12)
-    assert mean_occupation(50.0) < 1e-21
-
-
-def test_mean_occupation_rejects_nonpositive():
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            mean_occupation(bad)
-
-
 def test_occupation_round_trip():
+    # beta*omega back to the Bose-Einstein occupation 1/(exp(beta*omega) - 1)
     for n_bar in (0.05, 0.3, 1.0, 7.5):
-        back = mean_occupation(beta_omega_from_occupation(n_bar))
+        back = 1.0 / math.expm1(beta_omega_from_occupation(n_bar))
         assert abs(back - n_bar) < 1e-12 * max(1.0, n_bar)
-    a = ThermalParams.from_beta_omega(math.log(2.0))
-    b = ThermalParams.from_mean_occupation(1.0)
-    assert abs(a.n_bar - b.n_bar) < 1e-12
-    assert abs(a.u - b.u) < 1e-12
+    p = ThermalParams.from_mean_occupation(1.0)
+    assert abs(p.beta_omega - math.log(2.0)) < 1e-12
 
 
 def test_bogoliubov_factors_zero_temperature():
@@ -104,6 +93,26 @@ def test_negative_occupation_rejected():
 def test_nonfinite_occupation_rejected(n_bar):
     with pytest.raises(ValueError, match="n_bar must be finite and nonnegative"):
         params_for(n_bar)
+
+
+@pytest.mark.parametrize("n_bar", [math.nan, math.inf, -1.0])
+def test_direct_construction_rejects_bad_occupation(n_bar):
+    with pytest.raises(ValueError, match="n_bar must be finite and nonnegative"):
+        ThermalParams(n_bar)
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.1, 10.0, 1e15])
+def test_derived_scalars_keep_their_bits(n_bar):
+    # n_bar is the one stored value; the others have the bits of the
+    # expressions they were stored from
+    p = ThermalParams(np.float64(n_bar))
+    assert [f.name for f in dataclasses.fields(p)] == ["n_bar"]
+    assert type(p.n_bar) is float
+    got = (p.beta_omega, p.u, p.v, p.theta)
+    expect = (beta_omega_from_occupation(n_bar), math.sqrt(1.0 + n_bar),
+              math.sqrt(n_bar), math.asinh(math.sqrt(n_bar)))
+    assert [float.hex(x) for x in got] == [float.hex(x) for x in expect]
+    assert p == params_for(n_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +364,7 @@ def test_sector_exponential_matches_expm(n_bar):
     cutoff = auto_cutoff(n_bar)
     worst = max(
         np.abs(_sector_exponential(p.theta, cutoff, sector)
-               - scipy.linalg.expm(p.theta * _sector_generator(cutoff, sector))
+               - scipy.linalg.expm(p.theta * sector_generator(cutoff, sector))
                ).max()
         for sector in sectors_of(cutoff))
     assert worst <= 1e-11
@@ -398,7 +407,7 @@ def test_bogoliubov_vacuum_reduction_is_geometric():
     cutoff = 40
     u = bogoliubov_unitary(p, cutoff)
     state = u @ doubled_vacuum(cutoff)
-    red = reduce_pure_state(state, keep="original")
+    red = reduce_pure_state(state)
     expect = thermal_vacuum_density(p, cutoff)
     assert np.abs(red.data - expect.data).max() < 1e-10
 
@@ -441,15 +450,15 @@ def test_thermal_number_states_zero_temperature():
 def test_thermal_number_states_unit_norm():
     p = params_for(math.sinh(0.5) ** 2)
     for vec in thermal_number_states(p, 40):
-        assert abs(vec.norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(vec.data) - 1.0) < 1e-9
 
 
 def test_superposition_reduction_matches_expansion():
     # strongest cross-oracle: doubled-space construction vs explicit series
     p = params_for(0.3)
     cutoff = 40
-    state = thermal_superposition_state(DEFAULT_AMPLITUDES, p, cutoff)
-    red = reduce_pure_state(state, keep="original")
+    state = _superpose(DEFAULT_AMPLITUDES, thermal_number_states(p, cutoff))
+    red = reduce_pure_state(state)
     rho = thermal_state_density_expansion(DEFAULT_AMPLITUDES, p, cutoff)
     assert np.abs(red.data - rho.data).max() < 1e-9
 
@@ -514,7 +523,7 @@ def dense_gate_residual(gate, amps, params, cutoff):
 
 
 @pytest.mark.parametrize("gate_kind", ["parity", "random"])
-def test_gate_residual_sector_wise_matches_dense(monkeypatch, gate_kind):
+def test_gate_residual_sector_wise_matches_dense(gate_kind):
     # the random unitary mixes every occupation, so every sector is occupied
     p = params_for(0.2)
     cutoff = 20
@@ -526,11 +535,6 @@ def test_gate_residual_sector_wise_matches_dense(monkeypatch, gate_kind):
                             + 1j * RNG.normal(size=(d, d)))
         gate = FockMatrix(q, cutoff)
     dense = dense_gate_residual(gate, DEFAULT_AMPLITUDES, p, cutoff)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle built the dense U(beta)")
-
-    monkeypatch.setattr(thermal, "bogoliubov_unitary", forbidden)
     res = gate_thermalization_residual(gate, DEFAULT_AMPLITUDES, p, cutoff)
     assert dense <= 1e-12 and res <= 1e-12
     assert abs(res - dense) <= 1e-13
