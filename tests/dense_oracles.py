@@ -14,8 +14,8 @@ from thermoqubit import thermal
 from thermoqubit.fock import FockMatrix, FockVector
 
 
-def identity(cutoff: int, mode_count: int = 1) -> FockMatrix:
-    return FockMatrix(np.eye((cutoff + 1) ** mode_count), cutoff, mode_count)
+def identity(cutoff: int) -> FockMatrix:
+    return FockMatrix(np.eye(cutoff + 1), cutoff)
 
 
 def tensor_product(a: FockMatrix, b: FockMatrix) -> FockMatrix:
