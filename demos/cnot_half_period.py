@@ -59,6 +59,6 @@ print(f"  ref: {show(cnot_logical(state))}  (direct truth-table CNOT)")
 print("\nthermalized-gate identity (residual should be rounding-level):")
 gate = half_period_gate_matrix(40)
 for n_bar in (0.0, 0.2, 0.5):
-    params = ThermalParams.from_mean_occupation(n_bar)
+    params = ThermalParams(n_bar)
     res = gate_thermalization_residual(gate, DEFAULT_AMPLITUDES, params, 40)
     print(f"  n_bar={n_bar}: ||heat-then-gate - gate-then-heat|| = {res:.3e}")

@@ -27,7 +27,7 @@ print("fidelity of the heated state vs the pure target")
 print(f"{'n_bar':>8} {'numeric':>12} {'closed form':>12} {'discrepancy':>12}")
 rows = []
 for n_bar in n_bars:
-    params = ThermalParams.from_mean_occupation(float(n_bar))
+    params = ThermalParams(float(n_bar))
     rep = fidelity_closed_form(DEFAULT_AMPLITUDES, params)
     rows.append((n_bar, rep.value_numeric, rep.value_closed_form,
                  rep.abs_discrepancy))
@@ -39,7 +39,7 @@ for n_bar in n_bars:
 lo, hi = 0.0, 2.0
 for _ in range(50):
     mid = 0.5 * (lo + hi)
-    params = ThermalParams.from_mean_occupation(mid)
+    params = ThermalParams(mid)
     if fidelity_closed_form(DEFAULT_AMPLITUDES, params).value_numeric > 0.7:
         lo = mid
     else:

@@ -21,7 +21,7 @@ from thermoqubit import (
 
 
 def q_at(n_bar, amps=DEFAULT_AMPLITUDES):
-    return mandel_numeric(amps, ThermalParams.from_mean_occupation(n_bar))
+    return mandel_numeric(amps, ThermalParams(n_bar))
 
 
 print("Mandel Q for the reference amplitude set")

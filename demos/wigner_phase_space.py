@@ -49,7 +49,7 @@ def ascii_map(grid, rows=17, cols=41):
 
 results = {}
 for label, n_bar in (("cold", 0.1), ("hot", 10.0)):
-    params = ThermalParams.from_mean_occupation(n_bar)
+    params = ThermalParams(n_bar)
     cutoff = auto_cutoff(n_bar)
     _, numeric = heated_wigner(DEFAULT_AMPLITUDES, params, cutoff)
     closed, audit = wigner_closed_form(DEFAULT_AMPLITUDES, params, numeric,

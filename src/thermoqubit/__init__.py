@@ -24,12 +24,7 @@ if "numpy" not in _sys.modules and not any(
     _os.environ["MKL_NUM_THREADS"] = "1"
 
 from .errors import CutoffError, GridWideningError, MandelUndefinedError
-from .fock import (
-    FockMatrix,
-    FockVector,
-    build_ladder,
-    reduce_pure_state,
-)
+from .fock import build_ladder, reduce_pure_state
 from .gates import (
     LogicalState,
     cnot_logical,
@@ -61,7 +56,6 @@ from .thermal import (
     PhysicalAmplitudes,
     ThermalParams,
     auto_cutoff,
-    beta_omega_from_occupation,
     gate_thermalization_residual,
     thermal_number_states,
     thermal_state_density_expansion,
@@ -77,8 +71,6 @@ __all__ = [
     "CutoffError",
     "DEFAULT_AMPLITUDES",
     "ExactWigner",
-    "FockMatrix",
-    "FockVector",
     "GridSpec",
     "GridWideningError",
     "LogicalState",
@@ -88,7 +80,6 @@ __all__ = [
     "ThermalParams",
     "WignerGrid",
     "auto_cutoff",
-    "beta_omega_from_occupation",
     "build_ladder",
     "cnot_logical",
     "decode",

@@ -271,8 +271,8 @@ def cmd_sweep_mandel(cfg: SweepConfig) -> str:
     a block's cutoffs are resolved in order before it is read."""
     def reader(n_bar):
         cutoffs = [thermal.resolve_cutoff(
-            cfg.cutoff, thermal.ThermalParams.from_mean_occupation(value),
-            cfg.tail_tol) for value in n_bar.tolist()]
+            cfg.cutoff, thermal.ThermalParams(value), cfg.tail_tol)
+            for value in n_bar.tolist()]
         return observables.mandel_columns(cfg.amps, n_bar, cutoffs)
 
     columns = _sweep_columns(cfg, reader)
@@ -291,7 +291,7 @@ def cmd_wigner_grid(cfg: SweepConfig) -> bytes:
     The numeric grid is evaluated once (`observables.heated_wigner`) and
     shared by the w_numeric column and the closed-form audit."""
     n_bar = cfg.n_bar if cfg.n_bar is not None else 0.1
-    params = thermal.ThermalParams.from_mean_occupation(n_bar)
+    params = thermal.ThermalParams(n_bar)
     cutoff = thermal.resolve_cutoff(cfg.cutoff, params, cfg.tail_tol)
     # far enough out, a grid's powers of q and p overflow: the values are
     # checked below instead

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockMatrix
 from .thermal import PhysicalAmplitudes
 
 _SQRT2 = math.sqrt(2.0)
@@ -71,10 +70,10 @@ def evolve_half_period(p: PhysicalAmplitudes) -> PhysicalAmplitudes:
     return PhysicalAmplitudes(p.x, -p.y, p.z, p.w)
 
 
-def half_period_gate_matrix(cutoff: int) -> FockMatrix:
+def half_period_gate_matrix(cutoff: int) -> np.ndarray:
     """Parity gate diag((-1)^n): the half-period evolution with the global
     phase dropped."""
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4 to cover the encoding")
     signs = (-1.0) ** np.arange(cutoff + 1)
-    return FockMatrix(np.diag(signs.astype(complex)), cutoff)
+    return np.diag(signs.astype(complex))

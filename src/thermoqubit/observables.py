@@ -41,7 +41,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridWideningError, MandelUndefinedError
-from .fock import FockMatrix
 from .thermal import (
     TAIL_TOL_DEFAULT,
     PhysicalAmplitudes,
@@ -203,7 +202,7 @@ def _fidelity_values(amps: PhysicalAmplitudes, n_bar: np.ndarray) -> np.ndarray:
     value depend on its block.
     """
     rho = _density_entries(amps, n_bar, _TARGET_SIZE)
-    psi = amps.as_vector(_TARGET_SIZE - 1).data
+    psi = amps.as_vector(_TARGET_SIZE - 1)
     psi_conj = psi.conj()
     val = np.array([np.real(psi_conj @ block @ psi) for block in rho])
     above = np.flatnonzero(val > 1.0 + 1e-10)
@@ -439,7 +438,7 @@ def mandel_columns(amps: PhysicalAmplitudes, n_bar, cutoffs
     for value, cutoff in zip(n_bar.tolist(), cutoffs):
         if not isinstance(cutoff, numbers.Integral):
             raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-        validate_cutoff(cutoff, ThermalParams.from_mean_occupation(value))
+        validate_cutoff(cutoff, ThermalParams(value))
     closed, den = _mandel_series(amps, n_bar)
     numeric, mean_n = _mandel_values(amps, n_bar, cutoffs)
     undefined = (den < _MEAN_OCCUPATION_EPS) | (mean_n < _MEAN_OCCUPATION_EPS)
@@ -620,29 +619,32 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
     return w.real
 
 
-def wigner_from_density(rho: FockMatrix, grid: GridSpec | None = None, *,
+def wigner_from_density(rho: np.ndarray, grid: GridSpec | None = None, *,
                         widen: bool | None = None) -> WignerGrid:
     """Wigner function of any Hermitian single-mode density matrix on a
-    (q, p) grid; ValueError if max |rho - rho^+| > 1e-10.
+    (q, p) grid; ValueError unless rho is square with
+    max |rho - rho^+| <= 1e-10.
 
     When no grid is given, the default [-8, 8]^2 / 257^2 grid is used and
     the bounds are doubled (up to [-32, 32]^2) until the Riemann sum of W
     matches trace(rho) within GRID_TOL_DEFAULT; an explicit grid is used
     as-is unless widen=True.
     """
-    if rho.mode_count != 1:
-        raise ValueError("wigner_from_density expects a single-mode matrix")
-    residual = float(np.abs(rho.data - rho.data.conj().T).max())
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape "
+                         f"{rho.shape}")
+    residual = float(np.abs(rho - rho.conj().T).max())
     if not residual <= 1e-10:  # also rejects NaN
         raise ValueError(f"density matrix not Hermitian: max |rho - rho^+| "
                          f"= {residual:.3e} > 1e-10")
     if widen is None:
         widen = grid is None
     spec = grid if grid is not None else GridSpec()
-    target = float(np.trace(rho.data).real)
+    target = float(np.trace(rho).real)
     attempts = 0
     while True:
-        result = WignerGrid(spec, _wigner_values(rho.data, spec))
+        result = WignerGrid(spec, _wigner_values(rho, spec))
         error = abs(result.integral() - target)
         if not widen or error <= GRID_TOL_DEFAULT:
             return result
@@ -757,7 +759,7 @@ def wigner_exact(amps: PhysicalAmplitudes, params: ThermalParams
 
 def heated_wigner(amps: PhysicalAmplitudes, params: ThermalParams,
                   cutoff: int, grid: GridSpec | None = None
-                  ) -> tuple[FockMatrix, WignerGrid]:
+                  ) -> tuple[np.ndarray, WignerGrid]:
     """The heated state's rho at this cutoff and its Wigner function on
     `grid`, or widened from the first default grid whose exact Riemann sum
     (`wigner_exact`) is within GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN of 1,
@@ -765,7 +767,7 @@ def heated_wigner(amps: PhysicalAmplitudes, params: ThermalParams,
     """
     rho = thermal_state_density_expansion(amps, params, cutoff)
     start = GridSpec() if grid is None else grid
-    if grid is None and 1.0 - np.trace(rho.data).real <= TAIL_TOL_DEFAULT:
+    if grid is None and 1.0 - np.trace(rho).real <= TAIL_TOL_DEFAULT:
         exact = wigner_exact(amps, params)
         while (start.q_max < 32 and abs(exact.riemann_sum(start) - 1.0)
                > GRID_TOL_DEFAULT + _EXACT_SUM_MARGIN):

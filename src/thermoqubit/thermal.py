@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError
-from .fock import FockMatrix, FockVector, build_ladder
+from .fock import build_ladder
 
 TAIL_TOL_DEFAULT = 1e-10
 CUTOFF_CAP = 512
@@ -39,10 +39,9 @@ _AMPLITUDE_TOL = 1e-12  # on |norm - 1| and on each imaginary part
 class ThermalParams:
     """Temperature scalars of one thermal occupation n_bar.
 
-    n_bar is the one stored value; beta_omega = log(1 + 1/n_bar),
-    u = sqrt(1 + n_bar), v = sqrt(n_bar) and theta = arcsinh(sqrt(n_bar))
-    follow from it, so u^2 - v^2 = 1, u = cosh(theta) and v = sinh(theta)
-    up to rounding.
+    n_bar is the one stored value; u = sqrt(1 + n_bar), v = sqrt(n_bar)
+    and theta = arcsinh(sqrt(n_bar)) follow from it, so u^2 - v^2 = 1,
+    u = cosh(theta) and v = sinh(theta) up to rounding.
     """
 
     n_bar: float
@@ -53,14 +52,6 @@ class ThermalParams:
             raise ValueError(f"n_bar must be finite and nonnegative, got "
                              f"{n_bar}")
         object.__setattr__(self, "n_bar", n_bar)
-
-    @classmethod
-    def from_mean_occupation(cls, n_bar: float) -> "ThermalParams":
-        return cls(n_bar)
-
-    @property
-    def beta_omega(self) -> float:
-        return beta_omega_from_occupation(self.n_bar)
 
     @property
     def u(self) -> float:
@@ -83,16 +74,6 @@ class ThermalParams:
     def k1(self) -> float:
         """Geometric ratio n_bar/(1 + n_bar) of the thermal distribution."""
         return self.n_bar / (1.0 + self.n_bar)
-
-
-def beta_omega_from_occupation(n_bar: float) -> float:
-    """beta*omega of the Bose-Einstein occupation n_bar = 1/(exp(beta*omega)
-    - 1); returns +inf at n_bar = 0."""
-    if n_bar < 0:
-        raise ValueError(f"mean occupation must be nonnegative, got {n_bar}")
-    if n_bar == 0:
-        return math.inf
-    return math.log1p(1.0 / n_bar)
 
 
 @dataclass(frozen=True)
@@ -126,13 +107,13 @@ class PhysicalAmplitudes:
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (complex(self.x), complex(self.y), complex(self.z), complex(self.w))
 
-    def as_vector(self, cutoff: int) -> FockVector:
+    def as_vector(self, cutoff: int) -> np.ndarray:
         """Embed as a single-mode Fock vector (needs cutoff >= 4)."""
         if cutoff < 4:
             raise ValueError("cutoff must be at least 4 to hold |4>")
         vec = np.zeros(cutoff + 1, dtype=complex)
         vec[0], vec[1], vec[2], vec[4] = self.as_tuple()
-        return FockVector(vec, cutoff)
+        return vec
 
     def is_real(self) -> bool:
         return all(abs(complex(a).imag) <= _AMPLITUDE_TOL
@@ -260,11 +241,11 @@ def resolve_cutoff(cutoff, params: ThermalParams,
     return cutoff
 
 
-def thermal_vacuum_density(params: ThermalParams, cutoff: int) -> FockMatrix:
+def thermal_vacuum_density(params: ThermalParams, cutoff: int) -> np.ndarray:
     """Bare thermal density matrix: diagonal k * k1^n with k = 1/(1+n_bar)."""
     validate_cutoff(cutoff, params)
     diag = params.k * params.k1 ** np.arange(cutoff + 1)
-    return FockMatrix(np.diag(diag.astype(complex)), cutoff)
+    return np.diag(diag.astype(complex))
 
 
 def _occupation_shift_root(n: np.ndarray, shift: int) -> np.ndarray:
@@ -319,7 +300,8 @@ def _density_entries(amps: PhysicalAmplitudes, n_bar: np.ndarray, size: int,
 
 
 def thermal_state_density_expansion(amps: PhysicalAmplitudes,
-                                    params: ThermalParams, cutoff: int) -> FockMatrix:
+                                    params: ThermalParams, cutoff: int
+                                    ) -> np.ndarray:
     """Mixed state of the heated superposition, summed family by family.
 
     Sixteen ladder families contribute, one per pair (p, q) of raising
@@ -337,12 +319,12 @@ def thermal_state_density_expansion(amps: PhysicalAmplitudes,
     """
     amps.require_normalized()
     validate_cutoff(cutoff, params)
-    rho = _density_entries(amps, np.array([params.n_bar]), cutoff + 1)
-    return FockMatrix(rho[0], cutoff)
+    return _density_entries(amps, np.array([params.n_bar]), cutoff + 1)[0]
 
 
 def thermal_state_density_operator(amps: PhysicalAmplitudes,
-                                   params: ThermalParams, cutoff: int) -> FockMatrix:
+                                   params: ThermalParams, cutoff: int
+                                   ) -> np.ndarray:
     """Same mixed state, built as f rho_thermal f^dagger with explicit matrices.
 
     f is the creation polynomial x + (y/u) a^+ + (z/(sqrt2 u^2)) (a^+)^2 +
@@ -360,7 +342,7 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
     validate_cutoff(cutoff, params)
     inner = cutoff + 4
     _, raising = build_ladder(inner)
-    r = np.ascontiguousarray(raising.data.real)
+    r = np.ascontiguousarray(raising.real)
     r2 = r @ r
     r4 = r2 @ r2
     coeffs = {p: c[0] for p, c in
@@ -371,7 +353,7 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
          + coeffs[4] * r4)
     diag = params.k * params.k1 ** np.arange(inner + 1)
     rho_inner = (f * diag) @ f.conj().T
-    return FockMatrix(rho_inner[: cutoff + 1, : cutoff + 1], cutoff)
+    return rho_inner[: cutoff + 1, : cutoff + 1]
 
 
 def _pair_sector_indices(cutoff: int, sector: int) -> np.ndarray:
@@ -443,14 +425,13 @@ def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
     return out
 
 
-def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> FockVector:
+def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> np.ndarray:
     """U(beta)|0, 0_tilde>: the doubled vacuum lives in the n = n_tilde
     sector, which the pair generator never leaves, so only that sector's
     block is exponentiated."""
     vac = np.zeros((cutoff + 1) ** 2)
     vac[0] = 1.0
-    return FockVector(_bogoliubov_apply(params.theta, cutoff, vac), cutoff,
-                      mode_count=2)
+    return _bogoliubov_apply(params.theta, cutoff, vac)
 
 
 def _apply_original(op: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -460,17 +441,18 @@ def _apply_original(op: np.ndarray, data: np.ndarray) -> np.ndarray:
     return (data.reshape(d, d) @ op.T).reshape(-1)
 
 
-def _raise_original(vec: FockVector) -> FockVector:
+def _raise_original(vec: np.ndarray) -> np.ndarray:
     """(a^dagger x I) applied to a two-mode vector (amplitude above the
     cutoff is dropped)."""
-    d = vec.cutoff + 1
-    m = vec.data.reshape(d, d)  # [n_tilde, n]
+    d = math.isqrt(len(vec))
+    m = vec.reshape(d, d)  # [n_tilde, n]
     out = np.zeros_like(m)
     out[:, 1:] = m[:, :-1] * np.sqrt(np.arange(1.0, d))
-    return FockVector(out.reshape(-1), vec.cutoff, mode_count=2)
+    return out.reshape(-1)
 
 
-def thermal_number_states(params: ThermalParams, cutoff: int) -> list[FockVector]:
+def thermal_number_states(params: ThermalParams, cutoff: int
+                          ) -> list[np.ndarray]:
     """Purified thermal Fock states |0(b)>, |1(b)>, |2(b)>, |4(b)>.
 
     |n(b)> = (a^dagger)^n |0(b)> / (u^n sqrt(n!)) on the doubled space;
@@ -483,25 +465,20 @@ def thermal_number_states(params: ThermalParams, cutoff: int) -> list[FockVector
     v2 = _raise_original(v1)
     v3 = _raise_original(v2)
     v4 = _raise_original(v3)
-    return [
-        v0,
-        FockVector(v1.data / u, cutoff, mode_count=2),
-        FockVector(v2.data / (math.sqrt(2.0) * u**2), cutoff, mode_count=2),
-        FockVector(v4.data / (math.sqrt(24.0) * u**4), cutoff, mode_count=2),
-    ]
+    return [v0, v1 / u, v2 / (math.sqrt(2.0) * u**2),
+            v4 / (math.sqrt(24.0) * u**4)]
 
 
-def _superpose(amps: PhysicalAmplitudes, states: list[FockVector]) -> FockVector:
+def _superpose(amps: PhysicalAmplitudes, states: list[np.ndarray]
+               ) -> np.ndarray:
     """|Psi(b)> = x|0(b)> + y|1(b)> + z|2(b)> + w|4(b)> on the doubled
     space, from `thermal_number_states` output."""
     s0, s1, s2, s4 = states
-    cutoff = s0.cutoff
     x, y, z, w = amps.as_tuple()
-    data = x * s0.data + y * s1.data + z * s2.data + w * s4.data
-    return FockVector(data, cutoff, mode_count=2)
+    return x * s0 + y * s1 + z * s2 + w * s4
 
 
-def gate_thermalization_residual(gate: FockMatrix, amps_in: PhysicalAmplitudes,
+def gate_thermalization_residual(gate: np.ndarray, amps_in: PhysicalAmplitudes,
                                  params: ThermalParams, cutoff: int) -> float:
     """Norm distance between heating-then-gating and gating-then-heating.
 
@@ -510,12 +487,10 @@ def gate_thermalization_residual(gate: FockMatrix, amps_in: PhysicalAmplitudes,
     residual is pure truncation/rounding: the truncated Bogoliubov
     unitary is exactly unitary, so the identity holds algebraically.
     """
-    if gate.mode_count != 1:
-        raise ValueError("gate must act on the single original mode")
-    if gate.cutoff != cutoff:
-        raise ValueError(f"gate cutoff {gate.cutoff} != requested {cutoff}")
-    unit_dev = np.abs(gate.data.conj().T @ gate.data
-                      - np.eye(cutoff + 1)).max()
+    if gate.shape != (cutoff + 1, cutoff + 1):
+        raise ValueError(f"gate shape {gate.shape} != {(cutoff + 1,) * 2} "
+                         f"of cutoff {cutoff}")
+    unit_dev = np.abs(gate.conj().T @ gate - np.eye(cutoff + 1)).max()
     if unit_dev > 1e-10:
         raise ValueError(f"gate is not unitary: max |U^+U - I| = {unit_dev:.3e}")
     amps_in.require_normalized()
@@ -524,10 +499,10 @@ def gate_thermalization_residual(gate: FockMatrix, amps_in: PhysicalAmplitudes,
     psi_prime = amps_in.as_vector(cutoff)
     vac = np.zeros(cutoff + 1, dtype=complex)
     vac[0] = 1.0
-    doubled = np.kron(vac, psi_prime.data)  # |psi', 0_tilde>
+    doubled = np.kron(vac, psi_prime)  # |psi', 0_tilde>
 
     thermalized = _bogoliubov_apply(theta, cutoff, doubled)
     lhs = _bogoliubov_apply(theta, cutoff, _apply_original(
-        gate.data, _bogoliubov_apply(theta, cutoff, thermalized, inverse=True)))
-    rhs = _bogoliubov_apply(theta, cutoff, _apply_original(gate.data, doubled))
+        gate, _bogoliubov_apply(theta, cutoff, thermalized, inverse=True)))
+    rhs = _bogoliubov_apply(theta, cutoff, _apply_original(gate, doubled))
     return float(np.linalg.norm(lhs - rhs))

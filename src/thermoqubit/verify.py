@@ -56,23 +56,23 @@ def _density_checks(amps, params, cutoff, rho_exp):
     rho_red = fock.reduce_pure_state(psi_beta)
 
     yield _check("density_agreement_expansion_vs_operator",
-                 np.abs(rho_exp.data - rho_op.data).max(), 1e-9, n_bar,
+                 np.abs(rho_exp - rho_op).max(), 1e-9, n_bar,
                  f"cutoff={cutoff}")
     yield _check("density_agreement_expansion_vs_doubled",
-                 np.abs(rho_exp.data - rho_red.data).max(), 1e-9, n_bar,
+                 np.abs(rho_exp - rho_red).max(), 1e-9, n_bar,
                  f"cutoff={cutoff}")
-    herm = max(np.abs(r.data - r.data.conj().T).max()
+    herm = max(np.abs(r - r.conj().T).max()
                for r in (rho_exp, rho_op, rho_red))
     yield _check("density_hermitian", herm, 1e-12, n_bar)
-    yield _check("density_trace", abs(rho_exp.trace().real - 1.0),
+    yield _check("density_trace", abs(np.trace(rho_exp).real - 1.0),
                  thermal.TAIL_TOL_DEFAULT, n_bar)
     # real amplitudes give a real rho, whose real eigensolver is about 3x
     # faster than the complex one
-    rho = rho_exp.data
-    eigs = np.linalg.eigvalsh(rho.real if not rho.imag.any() else rho)
+    eigs = np.linalg.eigvalsh(rho_exp.real if not rho_exp.imag.any()
+                              else rho_exp)
     yield _check("density_positive", max(0.0, -float(eigs.min())), 1e-9, n_bar)
 
-    rho_b = np.diag(thermal.thermal_vacuum_density(params, cutoff).data).real
+    rho_b = np.diag(thermal.thermal_vacuum_density(params, cutoff)).real
     if n_bar > 0:
         violations = int(np.sum(rho_b[1:] >= rho_b[:-1]))
         yield _check("thermal_diagonal_strictly_decreasing",
@@ -82,7 +82,7 @@ def _density_checks(amps, params, cutoff, rho_exp):
     # doubled-space expectation identity <0(b)|(A x I)|0(b)> = tr(rho_b A)
     vac = states[0]
     d = cutoff + 1
-    m = vac.data.reshape(d, d)
+    m = vac.reshape(d, d)
     occ = np.arange(d, dtype=float)
     probs = np.abs(m) ** 2
     lhs_n = float(np.sum(probs * occ[None, :]))
@@ -95,8 +95,8 @@ def _density_checks(amps, params, cutoff, rho_exp):
     yield _check("doubled_mean_occupation", abs(lhs_n - n_bar), 1e-10, n_bar)
     red_vac = fock.reduce_pure_state(vac)
     yield _check("bogoliubov_reduction_geometric",
-                 np.abs(np.diag(red_vac.data).real - rho_b).max()
-                 + np.abs(red_vac.data - np.diag(np.diag(red_vac.data))).max(),
+                 np.abs(np.diag(red_vac).real - rho_b).max()
+                 + np.abs(red_vac - np.diag(np.diag(red_vac))).max(),
                  1e-10, n_bar)
 
     yield _check("fidelity_phase_invariance",
@@ -157,21 +157,21 @@ def _gate_checks(amps, rng):
     evolved_matrix = gate @ amps_r.as_vector(cutoff)
     evolved_map = gates.evolve_half_period(amps_r).as_vector(cutoff)
     yield _check("half_period_matrix_consistency",
-                 np.abs(evolved_matrix.data - evolved_map.data).max(), 1e-14)
+                 np.abs(evolved_matrix - evolved_map).max(), 1e-14)
 
 
 def _gate_thermalization_checks(amps):
     cutoff = GATE_RESIDUAL_CUTOFF
     gate = gates.half_period_gate_matrix(cutoff)
     for n_bar in GATE_RESIDUAL_N_BARS:
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
+        params = thermal.ThermalParams(n_bar)
         res = thermal.gate_thermalization_residual(gate, amps, params, cutoff)
         yield _check("gate_thermalization_residual", res, 1e-8, n_bar,
                      f"half-period parity gate, cutoff={cutoff}")
 
 
 def _observable_checks(amps, rng):
-    params0 = thermal.ThermalParams.from_mean_occupation(0.0)
+    params0 = thermal.ThermalParams(0.0)
     worst = abs(observables.fidelity_numeric(amps, params0) - 1.0)
     for _ in range(20):
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -184,7 +184,7 @@ def _observable_checks(amps, rng):
 
     worst = 0.0
     for n_bar in (0.1, 0.5, 1.0, 5.0):
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
+        params = thermal.ThermalParams(n_bar)
         q = observables.mandel_numeric(
             thermal.PhysicalAmplitudes(1, 0, 0, 0), params)
         worst = max(worst, abs(q - n_bar))
@@ -196,7 +196,7 @@ def _heated_wigner_checks(n_bar, cutoff, rho, w):
     yield _check("wigner_normalization", abs(w.integral() - 1.0),
                  1e-6, n_bar, f"grid [{w.spec.q_min}, {w.spec.q_max}]^2")
     parity = float(np.sum((-1.0) ** np.arange(cutoff + 1)
-                          * np.diag(rho.data).real)) / math.pi
+                          * np.diag(rho).real)) / math.pi
     origin = w.values[w.spec.nq // 2, w.spec.np // 2]
     yield _check("wigner_parity_at_origin", abs(origin - parity), 1e-10, n_bar)
 
@@ -214,7 +214,7 @@ def _wigner_checks(heated_checks, cold_neg, hot):
     grid_small = observables.GridSpec(-6, 6, -6, 6, 201, 201)
     vac = np.zeros((9, 9), dtype=complex)
     vac[0, 0] = 1.0
-    w_vac = observables.wigner_from_density(fock.FockMatrix(vac, 8), grid_small)
+    w_vac = observables.wigner_from_density(vac, grid_small)
     i0 = grid_small.nq // 2
     yield _check("wigner_vacuum_peak",
                  abs(w_vac.values[i0, i0] - 1.0 / math.pi), 1e-10)
@@ -223,13 +223,12 @@ def _wigner_checks(heated_checks, cold_neg, hot):
 
     one = np.zeros((9, 9), dtype=complex)
     one[1, 1] = 1.0
-    w_one = observables.wigner_from_density(fock.FockMatrix(one, 8), grid_small)
+    w_one = observables.wigner_from_density(one, grid_small)
     yield _check("wigner_single_photon_trough",
                  abs(w_one.values[i0, i0] + 1.0 / math.pi), 1e-10)
 
     # linearity on a convex mixture
-    mix = fock.FockMatrix(0.3 * vac + 0.7 * one, 8)
-    w_mix = observables.wigner_from_density(mix, grid_small)
+    w_mix = observables.wigner_from_density(0.3 * vac + 0.7 * one, grid_small)
     lin = np.abs(w_mix.values - (0.3 * w_vac.values + 0.7 * w_one.values)).max()
     yield _check("wigner_linearity", lin, 1e-12)
 
@@ -288,7 +287,7 @@ def run_verification(amps: thermal.PhysicalAmplitudes | None = None) -> dict:
     # run first and keep only their results, so one grid is alive at a time
     checks, heated_checks, negativities, wigner_audits = [], [], [], []
     for n_bar in DEFAULT_N_BARS:
-        params = thermal.ThermalParams.from_mean_occupation(n_bar)
+        params = thermal.ThermalParams(n_bar)
         cutoff = thermal.auto_cutoff(n_bar)
         rho, w = observables.heated_wigner(amps, params, cutoff)
         if n_bar in WIGNER_N_BARS:

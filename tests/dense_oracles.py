@@ -11,27 +11,24 @@ with scipy), and U(beta) assembled from the package's sector blocks.
 import numpy as np
 
 from thermoqubit import thermal
-from thermoqubit.fock import FockMatrix, FockVector
 
 
-def identity(cutoff: int) -> FockMatrix:
-    return FockMatrix(np.eye(cutoff + 1), cutoff)
+def identity(cutoff: int) -> np.ndarray:
+    return np.eye(cutoff + 1, dtype=complex)
 
 
-def tensor_product(a: FockMatrix, b: FockMatrix) -> FockMatrix:
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Two-mode operator acting as `a` on the original mode and `b` on the
     tilde mode, laid out in the composite index convention."""
-    if a.mode_count != 1 or b.mode_count != 1:
-        raise ValueError("tensor_product expects two single-mode operators")
-    if a.cutoff != b.cutoff:
-        raise ValueError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     # original mode fastest => tilde factor is the slow (left) kron factor
-    return FockMatrix(np.kron(b.data, a.data), a.cutoff, mode_count=2)
+    return np.kron(b, a)
 
 
-def projector(v: FockVector) -> FockMatrix:
+def projector(v: np.ndarray) -> np.ndarray:
     """|v><v| on the space of v."""
-    return FockMatrix(np.outer(v.data, v.data.conj()), v.cutoff, v.mode_count)
+    return np.outer(v, v.conj())
 
 
 def sector_generator(cutoff: int, sector: int) -> np.ndarray:
@@ -43,7 +40,7 @@ def sector_generator(cutoff: int, sector: int) -> np.ndarray:
 
 
 def bogoliubov_unitary(params: thermal.ThermalParams, cutoff: int
-                       ) -> FockMatrix:
+                       ) -> np.ndarray:
     """exp(theta (a^+ a^+_tilde - a a_tilde)) on the doubled truncated space,
     assembled from the package's sector blocks (the generator is
     block-diagonal over n - n_tilde, so this is exactly the exponential of
@@ -55,4 +52,4 @@ def bogoliubov_unitary(params: thermal.ThermalParams, cutoff: int
         idx = thermal._pair_sector_indices(cutoff, sector)
         u[np.ix_(idx, idx)] = thermal._sector_exponential(params.theta, cutoff,
                                                           sector)
-    return FockMatrix(u, cutoff, mode_count=2)
+    return u.astype(complex)

@@ -109,7 +109,7 @@ def test_sweep_fidelity_csv_round_trip(fidelity_csv):
     from thermoqubit.thermal import DEFAULT_AMPLITUDES, ThermalParams
 
     for row in read_csv(fidelity_csv)[::13]:
-        params = ThermalParams.from_mean_occupation(float(row["n_bar"]))
+        params = ThermalParams(float(row["n_bar"]))
         recomputed = fidelity_numeric(DEFAULT_AMPLITUDES, params)
         assert abs(float(row["fidelity_numeric"]) - recomputed) < 1e-9
 
@@ -510,7 +510,7 @@ def heated_grid(seed: int):
     if seed:
         raw = np.random.default_rng(seed).normal(size=4)
         amps = PhysicalAmplitudes(*(raw / np.linalg.norm(raw)))
-    params = thermal.ThermalParams.from_mean_occupation(1.0)
+    params = thermal.ThermalParams(1.0)
     cutoff = thermal.auto_cutoff(1.0)
     grid = GridSpec().doubled()
     _, numeric = observables.heated_wigner(amps, params, cutoff, grid)
@@ -723,6 +723,25 @@ def test_traced_wigner_grid_evals_count_kernel_passes(tmp_path, monkeypatch):
         "observables.wigner_grid_evals"] == len(grids)
 
 
+def test_traced_verify_exact_metrics(tmp_path, monkeypatch):
+    # the benchmark's verify workload reads these counts from the tracer's
+    # wrappers, which observe the arguments and results of package calls
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    recorder = tracer.SpanRecorder()
+    with tracer.traced("thermoqubit", recorder):
+        assert cli.main(["verify", "--out", str(tmp_path / "v.json")]) == 0
+    expect = {
+        "verify.checks_total": 85, "verify.checks_failed": 0,
+        "thermal.auto_cutoff.calls": 9, "fock.reduce_pure_state.calls": 10,
+        "observables.wigner_from_density.calls": 8,
+        "observables.wigner_grid_evals": 8,
+        "observables.wigner_points_evaluated": 451_448,
+        "observables.wigner_useful_ratio": 1.0}
+    metrics = tracer.exact_metrics(recorder)
+    assert {name: metrics[name] for name in expect} == expect
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -829,10 +848,10 @@ def test_verify_density_checks_take_complex_amplitudes():
     # eigensolver; a complex set takes the complex one
     raw = np.array([0.3 + 0.4j, -0.2j, 0.5 - 0.1j, 0.6 + 0.2j])
     amps = thermal.PhysicalAmplitudes(*(raw / np.linalg.norm(raw)))
-    params = thermal.ThermalParams.from_mean_occupation(1.0)
+    params = thermal.ThermalParams(1.0)
     cutoff = thermal.auto_cutoff(1.0)
     rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
-    assert rho.data.imag.any()
+    assert rho.imag.any()
     checks = {c.name: c for c in verify._density_checks(amps, params, cutoff,
                                                           rho)}
     assert checks["density_positive"].passed

@@ -101,9 +101,9 @@ def test_conjugation_property_random_states():
 
 def test_gate_matrix_entries():
     g = half_period_gate_matrix(8)
-    assert g.data[1, 1] == -1.0
-    assert g.data[4, 4] == 1.0
-    assert np.abs(g.data - np.diag((-1.0) ** np.arange(9))).max() == 0.0
+    assert g[1, 1] == -1.0
+    assert g[4, 4] == 1.0
+    assert np.abs(g - np.diag((-1.0) ** np.arange(9))).max() == 0.0
 
 
 def test_gate_matrix_matches_amplitude_map():
@@ -111,7 +111,7 @@ def test_gate_matrix_matches_amplitude_map():
     p = encode(LogicalState(0, 0, 1, 0))
     evolved = g @ p.as_vector(10)
     expect = evolve_half_period(p).as_vector(10)
-    assert np.abs(evolved.data - expect.data).max() < 1e-15
+    assert np.abs(evolved - expect).max() < 1e-15
 
 
 def test_gate_matrix_needs_room_for_encoding():

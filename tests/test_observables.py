@@ -29,7 +29,7 @@ RNG = np.random.default_rng(2718)
 
 
 def params_for(n_bar):
-    return ThermalParams.from_mean_occupation(n_bar)
+    return ThermalParams(n_bar)
 
 
 def random_amps():
@@ -60,8 +60,8 @@ def test_fidelity_dual_path_oracle():
     params = params_for(0.5)
     cutoff = 60
     rho = thermal_state_density_operator(DEFAULT_AMPLITUDES, params, cutoff)
-    psi = DEFAULT_AMPLITUDES.as_vector(cutoff).data
-    brute = math.sqrt(float(np.real(psi.conj() @ rho.data @ psi)))
+    psi = DEFAULT_AMPLITUDES.as_vector(cutoff)
+    brute = math.sqrt(float(np.real(psi.conj() @ rho @ psi)))
     fast = fidelity_numeric(DEFAULT_AMPLITUDES, params)
     assert abs(fast - brute) < 1e-10
 
@@ -210,8 +210,8 @@ def test_readers_match_dense_expansion(amps, n_bar):
     # the leading block and the diagonal give what the full matrix gives
     params = params_for(n_bar)
     cutoff = auto_cutoff(n_bar)
-    rho = thermal_state_density_expansion(amps, params, cutoff).data
-    psi = amps.as_vector(cutoff).data
+    rho = thermal_state_density_expansion(amps, params, cutoff)
+    psi = amps.as_vector(cutoff)
     dense_fidelity = math.sqrt(max(float(np.real(psi.conj() @ rho @ psi)), 0.0))
     assert _close(fidelity_numeric(amps, params), dense_fidelity)
 
@@ -233,10 +233,10 @@ def test_fidelity_independent_of_cutoff(n_bar):
     # cutoff 51 leaves too much tail, so the auto cutoff stands in)
     params = params_for(n_bar)
     amps = random_amps()
-    psi = amps.as_vector(4).data
+    psi = amps.as_vector(4)
     fidelity = fidelity_columns(amps, [n_bar])[0][0]
     for cutoff in (51 if n_bar < 10 else auto_cutoff(n_bar), 512):
-        rho = thermal_state_density_expansion(amps, params, cutoff).data
+        rho = thermal_state_density_expansion(amps, params, cutoff)
         block = np.ascontiguousarray(rho[:5, :5])
         value = float(np.real(psi.conj() @ block @ psi))
         assert fidelity == math.sqrt(max(value, 0.0))

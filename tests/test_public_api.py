@@ -26,11 +26,8 @@ def _definitions_and_references(tree):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if owner is None:
-                    decorators = {getattr(d, "id", None)
-                                  for d in child.decorator_list}
                     root = (child.name in ENTRY_POINTS and not in_class
-                            or child.name.startswith("__")
-                            or "property" in decorators)
+                            or child.name.startswith("__"))
                     defs.append((child.name, child, root))
                 visit(child, child if owner is None else owner, False)
                 continue
@@ -45,9 +42,9 @@ def _definitions_and_references(tree):
 
 
 def referenced_names():
-    """Names read by code that can run: module-level code, dunders,
-    properties, the entry point, and, to a fixed point, every function or
-    method whose name such code reads.  A reference from inside the
+    """Names read by code that can run: module-level code, dunders, the
+    entry point, and, to a fixed point, every function or method whose name
+    such code reads (a property is live only when such code reads it).  A reference from inside the
     definition of the same name does not count."""
     defs, refs = [], []
     for path in sorted(PACKAGE.glob("*.py")):

@@ -66,7 +66,7 @@ def point_by_point(cfg, closed_form):
     rows = []
     for n_bar in cfg.n_bar_values().tolist():
         try:
-            report = closed_form(ThermalParams.from_mean_occupation(n_bar))
+            report = closed_form(ThermalParams(n_bar))
         except MandelUndefinedError:
             rows.append((n_bar, math.nan, math.nan, math.nan))
             continue
@@ -198,9 +198,9 @@ def test_block_readers_equal_scalar_reference(amps, n_bar):
     cutoffs = [auto_cutoff(v) for v in n_bar]
     fid = observables.fidelity_columns(amps, n_bar)
     mandel = observables.mandel_columns(amps, n_bar, cutoffs)
-    psi = amps.as_vector(4).data
+    psi = amps.as_vector(4)
     for i, (v, cutoff) in enumerate(zip(n_bar, cutoffs)):
-        params = ThermalParams.from_mean_occupation(v)
+        params = ThermalParams(v)
         rho = _reference_rho(amps, params, 5)
         val = float(np.real(psi.conj() @ rho @ psi))
         assert fid[0][i] == math.sqrt(max(val, 0.0))
@@ -217,7 +217,7 @@ def test_vacuum_at_zero_temperature_gives_undefined_mandel_row():
     assert numeric[1] == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(MandelUndefinedError):
         observables.mandel_closed_form(
-            vacuum, ThermalParams.from_mean_occupation(0.0))
+            vacuum, ThermalParams(0.0))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -13,12 +13,7 @@ from dense_oracles import (
 )
 from thermoqubit import thermal
 from thermoqubit.errors import CutoffError
-from thermoqubit.fock import (
-    FockMatrix,
-    FockVector,
-    build_ladder,
-    reduce_pure_state,
-)
+from thermoqubit.fock import build_ladder, reduce_pure_state
 from thermoqubit.gates import half_period_gate_matrix
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
@@ -29,7 +24,6 @@ from thermoqubit.thermal import (
     PhysicalAmplitudes,
     ThermalParams,
     auto_cutoff,
-    beta_omega_from_occupation,
     gate_thermalization_residual,
     thermal_number_states,
     thermal_state_density_expansion,
@@ -42,32 +36,22 @@ RNG = np.random.default_rng(987)
 
 
 def params_for(n_bar):
-    return ThermalParams.from_mean_occupation(n_bar)
+    return ThermalParams(n_bar)
 
 
 def doubled_vacuum(cutoff):
     vac = np.zeros((cutoff + 1) ** 2)
     vac[0] = 1.0
-    return FockVector(vac, cutoff, mode_count=2)
+    return vac
 
 
 # ---------------------------------------------------------------------------
 # temperature scalars
 # ---------------------------------------------------------------------------
 
-def test_occupation_round_trip():
-    # beta*omega back to the Bose-Einstein occupation 1/(exp(beta*omega) - 1)
-    for n_bar in (0.05, 0.3, 1.0, 7.5):
-        back = 1.0 / math.expm1(beta_omega_from_occupation(n_bar))
-        assert abs(back - n_bar) < 1e-12 * max(1.0, n_bar)
-    p = ThermalParams.from_mean_occupation(1.0)
-    assert abs(p.beta_omega - math.log(2.0)) < 1e-12
-
-
 def test_bogoliubov_factors_zero_temperature():
     p = params_for(0.0)
     assert (p.u, p.v, p.theta) == (1.0, 0.0, 0.0)
-    assert p.beta_omega == math.inf
 
 
 def test_bogoliubov_factors_unit_occupation():
@@ -108,9 +92,9 @@ def test_derived_scalars_keep_their_bits(n_bar):
     p = ThermalParams(np.float64(n_bar))
     assert [f.name for f in dataclasses.fields(p)] == ["n_bar"]
     assert type(p.n_bar) is float
-    got = (p.beta_omega, p.u, p.v, p.theta)
-    expect = (beta_omega_from_occupation(n_bar), math.sqrt(1.0 + n_bar),
-              math.sqrt(n_bar), math.asinh(math.sqrt(n_bar)))
+    got = (p.u, p.v, p.theta)
+    expect = (math.sqrt(1.0 + n_bar), math.sqrt(n_bar),
+              math.asinh(math.sqrt(n_bar)))
     assert [float.hex(x) for x in got] == [float.hex(x) for x in expect]
     assert p == params_for(n_bar)
 
@@ -139,7 +123,7 @@ def test_cutoff_cap_error():
         with pytest.raises(CutoffError, match="no cutoff <= 512"):
             auto_cutoff(n_bar)
     with pytest.raises(CutoffError, match="leaves geometric tail mass"):
-        validate_cutoff(100, ThermalParams.from_mean_occupation(1e16))
+        validate_cutoff(100, ThermalParams(1e16))
 
 
 def _auto_cutoff_loop(n_bar, tail_tol):
@@ -208,19 +192,19 @@ def test_thermal_vacuum_zero_temperature():
     rho = thermal_vacuum_density(params_for(0.0), 12)
     expect = np.zeros((13, 13))
     expect[0, 0] = 1.0
-    assert np.abs(rho.data - expect).max() == 0.0
+    assert np.abs(rho - expect).max() == 0.0
 
 
 def test_thermal_vacuum_mean_occupation():
     rho = thermal_vacuum_density(params_for(0.5), 40)
-    mean = np.diag(rho.data).real @ np.arange(41.0)
+    mean = np.diag(rho).real @ np.arange(41.0)
     assert abs(mean - 0.5) < 1e-10
 
 
 def test_thermal_vacuum_unit_occupation_entries():
     rho = thermal_vacuum_density(params_for(1.0), 40)
-    assert abs(rho.data[0, 0] - 0.5) < 1e-14
-    assert abs(rho.data[1, 1] - 0.25) < 1e-14
+    assert abs(rho[0, 0] - 0.5) < 1e-14
+    assert abs(rho[1, 1] - 0.25) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -229,32 +213,32 @@ def test_thermal_vacuum_unit_occupation_entries():
 
 def pure_projector(amps, cutoff):
     psi = amps.as_vector(cutoff)
-    return np.outer(psi.data, psi.data.conj())
+    return np.outer(psi, psi.conj())
 
 
 def test_expansion_zero_temperature_is_pure():
     rho = thermal_state_density_expansion(DEFAULT_AMPLITUDES, params_for(0.0), 20)
-    assert np.abs(rho.data - pure_projector(DEFAULT_AMPLITUDES, 20)).max() < 1e-15
+    assert np.abs(rho - pure_projector(DEFAULT_AMPLITUDES, 20)).max() < 1e-15
 
 
 def test_expansion_vacuum_amplitudes_give_thermal_vacuum():
     amps = PhysicalAmplitudes(1, 0, 0, 0)
     rho = thermal_state_density_expansion(amps, params_for(0.7), 40)
     expect = thermal_vacuum_density(params_for(0.7), 40)
-    assert np.abs(rho.data - expect.data).max() < 1e-15
+    assert np.abs(rho - expect).max() < 1e-15
 
 
 def test_expansion_matches_operator_route():
     rho_e = thermal_state_density_expansion(DEFAULT_AMPLITUDES, params_for(0.5), 60)
     rho_o = thermal_state_density_operator(DEFAULT_AMPLITUDES, params_for(0.5), 60)
-    assert np.abs(rho_e.data - rho_o.data).max() < 1e-10
+    assert np.abs(rho_e - rho_o).max() < 1e-10
 
 
 def test_expansion_hermitian():
     for n_bar in (0.1, 0.5, 2.0):
         rho = thermal_state_density_expansion(
             DEFAULT_AMPLITUDES, params_for(n_bar), auto_cutoff(n_bar))
-        assert np.abs(rho.data - rho.data.conj().T).max() < 1e-12
+        assert np.abs(rho - rho.conj().T).max() < 1e-12
 
 
 def test_expansion_complex_amplitudes_stay_hermitian():
@@ -263,19 +247,19 @@ def test_expansion_complex_amplitudes_stay_hermitian():
     amps = PhysicalAmplitudes(*raw)
     rho_e = thermal_state_density_expansion(amps, params_for(0.4), 50)
     rho_o = thermal_state_density_operator(amps, params_for(0.4), 50)
-    assert np.abs(rho_e.data - rho_e.data.conj().T).max() < 1e-12
-    assert np.abs(rho_e.data - rho_o.data).max() < 1e-12
+    assert np.abs(rho_e - rho_e.conj().T).max() < 1e-12
+    assert np.abs(rho_e - rho_o).max() < 1e-12
 
 
 def test_operator_zero_temperature_projectors():
     rho = thermal_state_density_operator(DEFAULT_AMPLITUDES, params_for(0.0), 20)
-    assert np.abs(rho.data - pure_projector(DEFAULT_AMPLITUDES, 20)).max() < 1e-14
+    assert np.abs(rho - pure_projector(DEFAULT_AMPLITUDES, 20)).max() < 1e-14
 
     one = PhysicalAmplitudes(0, 1, 0, 0)
     rho1 = thermal_state_density_operator(one, params_for(0.0), 12)
     expect = np.zeros((13, 13), dtype=complex)
     expect[1, 1] = 1.0
-    assert np.abs(rho1.data - expect).max() < 1e-14
+    assert np.abs(rho1 - expect).max() < 1e-14
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 0.3, 10.0])
@@ -288,7 +272,7 @@ def test_operator_route_matches_full_complex_products(amps, n_bar):
     # whose entries have a single nonzero term, so every bit must agree
     params, cutoff = params_for(n_bar), auto_cutoff(n_bar)
     inner = cutoff + 4
-    r = build_ladder(inner)[1].data
+    r = build_ladder(inner)[1]
     x, y, z, w = amps.as_tuple()
     f = (x * np.eye(inner + 1, dtype=complex)
          + y / params.u * r
@@ -297,14 +281,14 @@ def test_operator_route_matches_full_complex_products(amps, n_bar):
     diag = params.k * params.k1 ** np.arange(inner + 1)
     expect = f @ np.diag(diag.astype(complex)) @ f.conj().T
     rho = thermal_state_density_operator(amps, params, cutoff)
-    assert np.array_equal(rho.data, expect[: cutoff + 1, : cutoff + 1])
+    assert np.array_equal(rho, expect[: cutoff + 1, : cutoff + 1])
 
 
 @pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
 def test_operator_route_unit_trace(n_bar):
     cutoff = auto_cutoff(n_bar)
     rho = thermal_state_density_operator(DEFAULT_AMPLITUDES, params_for(n_bar), cutoff)
-    assert abs(rho.trace().real - 1.0) < 1e-10
+    assert abs(np.trace(rho).real - 1.0) < 1e-10
 
 
 def test_unnormalized_amplitudes_rejected():
@@ -326,13 +310,12 @@ def test_nan_amplitudes_rejected():
 
 def test_bogoliubov_unitary_zero_angle_is_identity():
     u = bogoliubov_unitary(params_for(0.0), 10)
-    assert np.abs(u.data - np.eye(121)).max() < 1e-14
+    assert np.abs(u - np.eye(121)).max() < 1e-14
 
 
 def test_bogoliubov_unitary_is_unitary():
     u = bogoliubov_unitary(params_for(0.4), 24)
-    dense = np.asarray(u.data)
-    assert np.abs(dense.conj().T @ dense - np.eye(dense.shape[0])).max() < 1e-11
+    assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-11
 
 
 def test_bogoliubov_matches_dense_exponential():
@@ -340,11 +323,10 @@ def test_bogoliubov_matches_dense_exponential():
     p = params_for(0.36)
     cutoff = 20
     low, rai = build_ladder(cutoff)
-    gen = p.theta * (tensor_product(rai, rai).data
-                     - tensor_product(low, low).data)
+    gen = p.theta * (tensor_product(rai, rai) - tensor_product(low, low))
     dense = scipy.linalg.expm(gen)
     blocked = bogoliubov_unitary(p, cutoff)
-    assert np.abs(dense - blocked.data).max() < 1e-12
+    assert np.abs(dense - blocked).max() < 1e-12
 
 
 def sectors_of(cutoff):
@@ -397,7 +379,7 @@ def test_apply_original_matches_tensor_product():
     gate, _ = np.linalg.qr(RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)))
     vec = RNG.normal(size=d * d) + 1j * RNG.normal(size=d * d)
     vec /= np.linalg.norm(vec)
-    dense = tensor_product(FockMatrix(gate, cutoff), identity(cutoff)).data
+    dense = tensor_product(gate, identity(cutoff))
     assert np.abs(_apply_original(gate, vec) - dense @ vec).max() <= 1e-14
 
 
@@ -409,14 +391,14 @@ def test_bogoliubov_vacuum_reduction_is_geometric():
     state = u @ doubled_vacuum(cutoff)
     red = reduce_pure_state(state)
     expect = thermal_vacuum_density(p, cutoff)
-    assert np.abs(red.data - expect.data).max() < 1e-10
+    assert np.abs(red - expect).max() < 1e-10
 
 
 def test_doubled_space_mean_occupation():
     p = params_for(0.5)
     cutoff = 40
     u = bogoliubov_unitary(p, cutoff)
-    state = (u @ doubled_vacuum(cutoff)).data
+    state = u @ doubled_vacuum(cutoff)
     # N x I is diagonal: entry n at composite index n_tilde*(cutoff+1) + n
     n_two_mode = np.tile(np.arange(cutoff + 1.0), cutoff + 1)
     mean = np.vdot(state, n_two_mode * state).real
@@ -432,8 +414,8 @@ def test_doubled_expectation_equals_thermal_trace(a_op):
     d = cutoff + 1
     occ = np.arange(d, dtype=float)
     weights = occ if a_op == "number" else occ**2
-    lhs = float(np.sum(np.abs(vac.data.reshape(d, d)) ** 2 * weights[None, :]))
-    diag = np.diag(thermal_vacuum_density(p, cutoff).data).real
+    lhs = float(np.sum(np.abs(vac.reshape(d, d)) ** 2 * weights[None, :]))
+    diag = np.diag(thermal_vacuum_density(p, cutoff)).real
     rhs = float(diag @ weights)
     assert abs(lhs - rhs) < 1e-9
 
@@ -444,13 +426,13 @@ def test_thermal_number_states_zero_temperature():
         d = 13
         full = np.zeros(d * d, dtype=complex)
         full[n] = 1.0  # |n, 0_tilde> sits at composite index n
-        assert np.abs(vec.data - full).max() < 1e-14
+        assert np.abs(vec - full).max() < 1e-14
 
 
 def test_thermal_number_states_unit_norm():
     p = params_for(math.sinh(0.5) ** 2)
     for vec in thermal_number_states(p, 40):
-        assert abs(np.linalg.norm(vec.data) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
 
 def test_superposition_reduction_matches_expansion():
@@ -460,7 +442,7 @@ def test_superposition_reduction_matches_expansion():
     state = _superpose(DEFAULT_AMPLITUDES, thermal_number_states(p, cutoff))
     red = reduce_pure_state(state)
     rho = thermal_state_density_expansion(DEFAULT_AMPLITUDES, p, cutoff)
-    assert np.abs(red.data - rho.data).max() < 1e-9
+    assert np.abs(red - rho).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +473,9 @@ def test_bogoliubov_apply_matches_dense_unitary(monkeypatch):
     p = params_for(0.2)
     cutoff = 16
     d = cutoff + 1
-    dense = np.asarray(bogoliubov_unitary(p, cutoff).data)
+    dense = bogoliubov_unitary(p, cutoff)
     sparse = np.zeros(d * d, dtype=complex)
-    sparse[:d] = DEFAULT_AMPLITUDES.as_vector(cutoff).data
+    sparse[:d] = DEFAULT_AMPLITUDES.as_vector(cutoff)
     full = RNG.normal(size=d * d) + 1j * RNG.normal(size=d * d)
     sectors = []
     exponential = thermal._sector_exponential
@@ -514,11 +496,11 @@ def test_bogoliubov_apply_matches_dense_unitary(monkeypatch):
 
 def dense_gate_residual(gate, amps, params, cutoff):
     """The gate-thermalization residual through the dense U(beta)."""
-    u = np.asarray(bogoliubov_unitary(params, cutoff).data)
+    u = bogoliubov_unitary(params, cutoff)
     doubled = np.zeros((cutoff + 1) ** 2, dtype=complex)
-    doubled[: cutoff + 1] = amps.as_vector(cutoff).data  # |psi', 0_tilde>
-    lhs = u @ _apply_original(gate.data, u.conj().T @ (u @ doubled))
-    rhs = u @ _apply_original(gate.data, doubled)
+    doubled[: cutoff + 1] = amps.as_vector(cutoff)  # |psi', 0_tilde>
+    lhs = u @ _apply_original(gate, u.conj().T @ (u @ doubled))
+    rhs = u @ _apply_original(gate, doubled)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -533,7 +515,7 @@ def test_gate_residual_sector_wise_matches_dense(gate_kind):
     else:
         q, _ = np.linalg.qr(RNG.normal(size=(d, d))
                             + 1j * RNG.normal(size=(d, d)))
-        gate = FockMatrix(q, cutoff)
+        gate = q
     dense = dense_gate_residual(gate, DEFAULT_AMPLITUDES, p, cutoff)
     res = gate_thermalization_residual(gate, DEFAULT_AMPLITUDES, p, cutoff)
     assert dense <= 1e-12 and res <= 1e-12
@@ -541,6 +523,51 @@ def test_gate_residual_sector_wise_matches_dense(gate_kind):
 
 
 def test_gate_residual_rejects_nonunitary():
-    bad = FockMatrix(0.5 * np.eye(21), 20)
+    bad = 0.5 * np.eye(21)
     with pytest.raises(ValueError):
         gate_thermalization_residual(bad, DEFAULT_AMPLITUDES, params_for(0.1), 20)
+
+
+def test_gate_residual_rejects_wrong_shape():
+    with pytest.raises(ValueError, match=r"gate shape \(21, 21\) != \(31, 31\)"):
+        gate_thermalization_residual(half_period_gate_matrix(20),
+                                     DEFAULT_AMPLITUDES, params_for(0.1), 30)
+
+
+# ---------------------------------------------------------------------------
+# array contract of the builders
+# ---------------------------------------------------------------------------
+
+BUILT_CUTOFF = 20
+_BUILT_PARAMS = ThermalParams(0.3)
+_SQUARE = (BUILT_CUTOFF + 1,) * 2
+_TWO_MODE = ((BUILT_CUTOFF + 1) ** 2,)
+
+
+def _superposed():
+    return _superpose(DEFAULT_AMPLITUDES,
+                      thermal_number_states(_BUILT_PARAMS, BUILT_CUTOFF))
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda: build_ladder(BUILT_CUTOFF)[0], _SQUARE),
+    (lambda: build_ladder(BUILT_CUTOFF)[1], _SQUARE),
+    (lambda: half_period_gate_matrix(BUILT_CUTOFF), _SQUARE),
+    (lambda: thermal_vacuum_density(_BUILT_PARAMS, BUILT_CUTOFF), _SQUARE),
+    (lambda: thermal_state_density_expansion(
+        DEFAULT_AMPLITUDES, _BUILT_PARAMS, BUILT_CUTOFF), _SQUARE),
+    (lambda: thermal_state_density_operator(
+        DEFAULT_AMPLITUDES, _BUILT_PARAMS, BUILT_CUTOFF), _SQUARE),
+    (lambda: reduce_pure_state(_superposed()), _SQUARE),
+    (lambda: DEFAULT_AMPLITUDES.as_vector(BUILT_CUTOFF), (BUILT_CUTOFF + 1,)),
+    *[(lambda i=i: thermal_number_states(_BUILT_PARAMS, BUILT_CUTOFF)[i],
+       _TWO_MODE) for i in range(4)],
+    (_superposed, _TWO_MODE),
+], ids=["lowering", "raising", "gate", "thermal_vacuum", "expansion",
+        "operator", "reduced", "as_vector", "number_0", "number_1",
+        "number_2", "number_4", "superposed"])
+def test_builders_return_complex_arrays(build, shape):
+    out = build()
+    assert type(out) is np.ndarray
+    assert out.dtype == complex
+    assert out.shape == shape
