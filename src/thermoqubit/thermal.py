@@ -21,6 +21,7 @@ tests lean on that triple agreement as the core cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -341,18 +342,20 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
     amps.require_normalized()
     validate_cutoff(cutoff, params)
     inner = cutoff + 4
-    _, raising = build_ladder(inner)
-    r = np.ascontiguousarray(raising.real)
+    r = np.ascontiguousarray(build_ladder(inner)[1].real)
     r2 = r @ r
     r4 = r2 @ r2
     coeffs = {p: c[0] for p, c in
               _ladder_coefficients(amps, np.array([params.u])).items()}
-    f = (coeffs[0] * np.eye(inner + 1, dtype=complex)
-         + coeffs[1] * r
-         + coeffs[2] * r2
-         + coeffs[4] * r4)
-    diag = params.k * params.k1 ** np.arange(inner + 1)
-    rho_inner = (f * diag) @ f.conj().T
+    # summed in place, left to right, and r, r2, r4 released once summed
+    f = coeffs[0] * np.eye(inner + 1, dtype=complex)
+    f += coeffs[1] * r
+    f += coeffs[2] * r2
+    f += coeffs[4] * r4
+    del r, r2, r4
+    f_dagger = f.conj().T
+    f *= params.k * params.k1 ** np.arange(inner + 1)
+    rho_inner = f @ f_dagger
     return rho_inner[: cutoff + 1, : cutoff + 1]
 
 
@@ -370,7 +373,7 @@ def _pair_sector_indices(cutoff: int, sector: int) -> np.ndarray:
 
 def _sector_couplings(cutoff: int, sector: int) -> np.ndarray:
     """Sub-diagonal couplings sqrt((n+1)(nt+1)) of the pair generator's
-    block in one n - n_tilde sector (see `_sector_exponential`)."""
+    block in one n - n_tilde sector (see `_sector_eigensystem`)."""
     size = cutoff + 1 - abs(sector)
     j = np.arange(size - 1, dtype=float)
     if sector >= 0:
@@ -378,41 +381,51 @@ def _sector_couplings(cutoff: int, sector: int) -> np.ndarray:
     return np.sqrt((j + 1.0) * (j - sector + 1.0))
 
 
-def _sector_exponential(theta: float, cutoff: int, sector: int) -> np.ndarray:
-    """One n - n_tilde sector's block of the Bogoliubov unitary
-    U(beta) = exp(theta G), G = a^+ a^+_tilde - a a_tilde.  G couples
-    |n, nt> only to |n+1, nt+1>, so it is block-diagonal over sectors.
-    In this real convention U(beta) maps the doubled vacuum to
-    sum_n sech(theta) tanh(theta)^n |n, n>, all coefficients nonnegative.
+# the gate check applies U(beta) to the sectors 0, 1, 2 and 4 of one cutoff
+# at every n_bar it runs; eight entries hold those and a few density cutoffs
+@functools.lru_cache(maxsize=8)
+def _sector_eigensystem(cutoff: int, sector: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs (w, Q), T = Q diag(w) Q^T, of one n - n_tilde
+    sector's block of the pair generator G = a^+ a^+_tilde - a a_tilde.
 
-    G's block is real antisymmetric tridiagonal with couplings c.  With
-    S = diag(i^j), S^+ G S = -i T, where T is the real symmetric tridiagonal
-    matrix with the same couplings, so
-
-        exp(theta G) = S Q diag(exp(-i theta w)) Q^T S^+
-
-    from the eigendecomposition T = Q diag(w) Q^T.  G is normal, so this
-    spectral route is well conditioned (Moler & Van Loan, "Nineteen
-    dubious ways to compute the exponential of a matrix", SIAM Rev. 45, 3
-    (2003)).  The result is real; its imaginary part is rounding only.
+    G couples |n, nt> only to |n+1, nt+1>, so it is block-diagonal over
+    sectors, and each block is real antisymmetric tridiagonal with
+    couplings c.  With S = diag(i^j), S^+ G S = -i T, where T is the real
+    symmetric tridiagonal matrix with the same couplings.  T depends on
+    the cutoff and the sector alone, so one diagonalization serves every
+    temperature.
     """
     coup = _sector_couplings(cutoff, sector)
     w, q = np.linalg.eigh(np.diag(coup, -1) + np.diag(coup, 1))
-    s = 1j ** np.arange(len(coup) + 1)
-    return ((s[:, None] * (q * np.exp(-1j * theta * w)) @ q.T)
-            * s.conj()[None, :]).real
+    w.setflags(write=False)
+    q.setflags(write=False)
+    return w, q
+
+
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^j for j mod 4, exact
 
 
 def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
                       inverse: bool = False) -> np.ndarray:
     """U(beta) data, or U^+(beta) data with inverse=True, for two-mode
-    vector data, without forming U(beta).
+    vector data, as matrix-vector products: no block of U(beta) is formed.
 
-    U(beta) is block-diagonal over the n - n_tilde sectors (see
-    `_sector_exponential`), so each sector block acts on its own slice of
-    the vector.  Only the sectors that data's nonzero entries occupy are
-    exponentiated; the others map zero to zero.  The blocks are real
-    orthogonal, so U^+ applies each block transposed.
+    U(beta) = exp(theta G) is block-diagonal over the n - n_tilde sectors,
+    so each sector acts on its own slice of the vector.  From the cached
+    eigensystem of the sector (see `_sector_eigensystem`),
+
+        exp(theta G) = M = S Q diag(exp(-i theta w)) Q^T S^+.
+
+    G is normal, so this spectral route is well conditioned (Moler & Van
+    Loan, "Nineteen dubious ways to compute the exponential of a matrix",
+    SIAM Rev. 45, 3 (2003)).  The block is real, Re M, up to rounding, so
+    it applies to the real and imaginary parts of a slice separately, each
+    as Re(M x); the inverse is the transposed block, which swaps S and S^+.
+    In this real convention U(beta) maps the doubled vacuum to
+    sum_n sech(theta) tanh(theta)^n |n, n>, all coefficients nonnegative.
+    Only the sectors that data's nonzero entries occupy are applied; the
+    others map zero to zero.
     """
     d = cutoff + 1
     occupied = np.flatnonzero(data)
@@ -420,16 +433,26 @@ def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
     # a sorted set, not np.unique, which imports numpy.ma
     for sector in sorted(set((occupied % d - occupied // d).tolist())):
         idx = _pair_sector_indices(cutoff, sector)
-        block = _sector_exponential(theta, cutoff, sector)
-        out[idx] = (block.T if inverse else block) @ data[idx]
+        w, q = _sector_eigensystem(cutoff, sector)
+        s = _I_POWERS[np.arange(len(w)) % 4]
+        left, right = (s.conj(), s) if inverse else (s, s.conj())
+        # the columns Re x and Im x of the slice x, each times S^+.  Viewed
+        # as floats, a complex array is its (real, imaginary) pairs, so one
+        # real product applies Q^T, or Q, to all four real columns at once
+        parts = right[:, None] * np.asarray(data[idx], dtype=complex
+                                            ).view(float).reshape(-1, 2)
+        parts = ((q.T @ parts.view(float)).view(complex)
+                 * np.exp(-1j * theta * w)[:, None])
+        re_m = (left[:, None] * (q @ parts.view(float)).view(complex)).real
+        out[idx] = re_m[:, 0] + 1j * re_m[:, 1]  # Re(M) Re x + i Re(M) Im x
     return out
 
 
 def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> np.ndarray:
     """U(beta)|0, 0_tilde>: the doubled vacuum lives in the n = n_tilde
-    sector, which the pair generator never leaves, so only that sector's
-    block is exponentiated."""
-    vac = np.zeros((cutoff + 1) ** 2)
+    sector, which the pair generator never leaves, so only that sector is
+    applied."""
+    vac = np.zeros((cutoff + 1) ** 2, dtype=complex)
     vac[0] = 1.0
     return _bogoliubov_apply(params.theta, cutoff, vac)
 
@@ -447,7 +470,7 @@ def _raise_original(vec: np.ndarray) -> np.ndarray:
     d = math.isqrt(len(vec))
     m = vec.reshape(d, d)  # [n_tilde, n]
     out = np.zeros_like(m)
-    out[:, 1:] = m[:, :-1] * np.sqrt(np.arange(1.0, d))
+    np.multiply(m[:, :-1], np.sqrt(np.arange(1.0, d)), out=out[:, 1:])
     return out.reshape(-1)
 
 
@@ -456,26 +479,36 @@ def thermal_number_states(params: ThermalParams, cutoff: int
     """Purified thermal Fock states |0(b)>, |1(b)>, |2(b)>, |4(b)>.
 
     |n(b)> = (a^dagger)^n |0(b)> / (u^n sqrt(n!)) on the doubled space;
-    the 1/u^n factors make each state unit norm.
+    the 1/u^n factors make each state unit norm.  Each power of a^dagger
+    is raised from the unscaled power before it and then scaled in place,
+    and the third power is dropped once the fourth is raised, so at most
+    five doubled vectors are alive at once.
     """
     validate_cutoff(cutoff, params)
     u = params.u
     v0 = _thermal_vacuum_vector(params, cutoff)
     v1 = _raise_original(v0)
     v2 = _raise_original(v1)
+    v1 /= u
     v3 = _raise_original(v2)
+    v2 /= math.sqrt(2.0) * u**2
     v4 = _raise_original(v3)
-    return [v0, v1 / u, v2 / (math.sqrt(2.0) * u**2),
-            v4 / (math.sqrt(24.0) * u**4)]
+    del v3
+    v4 /= math.sqrt(24.0) * u**4
+    return [v0, v1, v2, v4]
 
 
 def _superpose(amps: PhysicalAmplitudes, states: list[np.ndarray]
                ) -> np.ndarray:
     """|Psi(b)> = x|0(b)> + y|1(b)> + z|2(b)> + w|4(b)> on the doubled
-    space, from `thermal_number_states` output."""
+    space, from `thermal_number_states` output, summed left to right."""
     s0, s1, s2, s4 = states
     x, y, z, w = amps.as_tuple()
-    return x * s0 + y * s1 + z * s2 + w * s4
+    psi = x * s0
+    psi += y * s1
+    psi += z * s2
+    psi += w * s4
+    return psi
 
 
 def gate_thermalization_residual(gate: np.ndarray, amps_in: PhysicalAmplitudes,
@@ -491,7 +524,7 @@ def gate_thermalization_residual(gate: np.ndarray, amps_in: PhysicalAmplitudes,
         raise ValueError(f"gate shape {gate.shape} != {(cutoff + 1,) * 2} "
                          f"of cutoff {cutoff}")
     unit_dev = np.abs(gate.conj().T @ gate - np.eye(cutoff + 1)).max()
-    if unit_dev > 1e-10:
+    if not unit_dev <= 1e-10:  # also rejects NaN
         raise ValueError(f"gate is not unitary: max |U^+U - I| = {unit_dev:.3e}")
     amps_in.require_normalized()
 

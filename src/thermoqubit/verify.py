@@ -47,22 +47,36 @@ def _check(name, residual, tolerance=None, n_bar=None, detail="") -> CheckResult
 
 
 def _density_checks(amps, params, cutoff, rho_exp):
+    """The density-matrix checks of one n_bar, against the expansion rho_exp.
+
+    Each residual is taken as soon as its arrays exist, and each array is
+    dropped after its last read: the operator-route rho after its two
+    residuals, the purified number states |1(b)>, |2(b)>, |4(b)> once the
+    superposition is formed, and the superposition once it is reduced.
+    At n_bar = 10 (cutoff 359) these doubled-space arrays set the peak
+    memory of the whole suite.
+    """
     n_bar = params.n_bar
     rho_op = thermal.thermal_state_density_operator(amps, params, cutoff)
-    # the purified number states are built once and serve both the
-    # superposition and the doubled-vacuum identities below
-    states = thermal.thermal_number_states(params, cutoff)
-    psi_beta = thermal._superpose(amps, states)
-    rho_red = fock.reduce_pure_state(psi_beta)
-
     yield _check("density_agreement_expansion_vs_operator",
                  np.abs(rho_exp - rho_op).max(), 1e-9, n_bar,
                  f"cutoff={cutoff}")
+    herm_op = np.abs(rho_op - rho_op.conj().T).max()
+    del rho_op
+    # the purified number states serve both the superposition and, through
+    # |0(b)>, the doubled-vacuum identities below
+    states = thermal.thermal_number_states(params, cutoff)
+    vac = states[0]
+    psi_beta = thermal._superpose(amps, states)
+    del states
+    rho_red = fock.reduce_pure_state(psi_beta)
+    del psi_beta
     yield _check("density_agreement_expansion_vs_doubled",
                  np.abs(rho_exp - rho_red).max(), 1e-9, n_bar,
                  f"cutoff={cutoff}")
-    herm = max(np.abs(r - r.conj().T).max()
-               for r in (rho_exp, rho_op, rho_red))
+    herm = max(np.abs(rho_exp - rho_exp.conj().T).max(), herm_op,
+               np.abs(rho_red - rho_red.conj().T).max())
+    del rho_red
     yield _check("density_hermitian", herm, 1e-12, n_bar)
     yield _check("density_trace", abs(np.trace(rho_exp).real - 1.0),
                  thermal.TAIL_TOL_DEFAULT, n_bar)
@@ -72,7 +86,8 @@ def _density_checks(amps, params, cutoff, rho_exp):
                               else rho_exp)
     yield _check("density_positive", max(0.0, -float(eigs.min())), 1e-9, n_bar)
 
-    rho_b = np.diag(thermal.thermal_vacuum_density(params, cutoff)).real
+    # a copy: the diagonal view would keep the whole matrix alive
+    rho_b = np.diag(thermal.thermal_vacuum_density(params, cutoff)).real.copy()
     if n_bar > 0:
         violations = int(np.sum(rho_b[1:] >= rho_b[:-1]))
         yield _check("thermal_diagonal_strictly_decreasing",
@@ -80,13 +95,13 @@ def _density_checks(amps, params, cutoff, rho_exp):
                      "count of non-decreasing steps in the geometric diagonal")
 
     # doubled-space expectation identity <0(b)|(A x I)|0(b)> = tr(rho_b A)
-    vac = states[0]
     d = cutoff + 1
     m = vac.reshape(d, d)
     occ = np.arange(d, dtype=float)
     probs = np.abs(m) ** 2
     lhs_n = float(np.sum(probs * occ[None, :]))
     lhs_n2 = float(np.sum(probs * (occ**2)[None, :]))
+    del probs
     rhs_n = float(rho_b @ occ)
     rhs_n2 = float(rho_b @ occ**2)
     yield _check("doubled_expectation_number", abs(lhs_n - rhs_n), 1e-9, n_bar)

@@ -5,7 +5,8 @@ reduces pure states without their projectors.  The tests compare those
 routes against the dense matrices built here: two-mode operators by
 np.kron in the composite index n_tilde * (cutoff + 1) + n, projectors by
 np.outer, the pair generator's sector blocks (which the tests exponentiate
-with scipy), and U(beta) assembled from the package's sector blocks.
+with scipy), the sector blocks of U(beta) formed from the package's cached
+eigensystems, and U(beta) assembled from those blocks.
 """
 
 import numpy as np
@@ -39,17 +40,27 @@ def sector_generator(cutoff: int, sector: int) -> np.ndarray:
     return np.diag(coup, -1) - np.diag(coup, 1)
 
 
+def sector_exponential(theta: float, cutoff: int, sector: int) -> np.ndarray:
+    """One n - n_tilde sector's block of U(beta) = exp(theta G), formed as
+    Re(S Q diag(exp(-i theta w)) Q^T S^+) from the package's eigensystem
+    (w, Q) of the sector (see `thermal._sector_eigensystem`), S = diag(i^j).
+    The block is real; its imaginary part is rounding only."""
+    w, q = thermal._sector_eigensystem(cutoff, sector)
+    s = 1j ** np.arange(len(w))
+    return ((s[:, None] * (q * np.exp(-1j * theta * w)) @ q.T)
+            * s.conj()[None, :]).real
+
+
 def bogoliubov_unitary(params: thermal.ThermalParams, cutoff: int
                        ) -> np.ndarray:
     """exp(theta (a^+ a^+_tilde - a a_tilde)) on the doubled truncated space,
-    assembled from the package's sector blocks (the generator is
-    block-diagonal over n - n_tilde, so this is exactly the exponential of
-    the full generator)."""
+    assembled from its sector blocks (the generator is block-diagonal over
+    n - n_tilde, so this is exactly the exponential of the full
+    generator)."""
     thermal.validate_cutoff(cutoff, params)
     d = cutoff + 1
     u = np.zeros((d * d, d * d))
     for sector in range(-cutoff, cutoff + 1):
         idx = thermal._pair_sector_indices(cutoff, sector)
-        u[np.ix_(idx, idx)] = thermal._sector_exponential(params.theta, cutoff,
-                                                          sector)
+        u[np.ix_(idx, idx)] = sector_exponential(params.theta, cutoff, sector)
     return u.astype(complex)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
@@ -856,6 +857,45 @@ def test_verify_density_checks_take_complex_amplitudes():
                                                           rho)}
     assert checks["density_positive"].passed
     assert all(c.passed for c in checks.values())
+
+
+def test_verify_density_checks_memory_at_n_bar_10():
+    # the n_bar = 10 density checks (cutoff 359) set verify's peak memory;
+    # each doubled-space array is dropped after its last read, so no more
+    # than 8 doubled vectors of (cutoff + 1)^2 complex entries are alive
+    amps = thermal.DEFAULT_AMPLITUDES
+    params = thermal.ThermalParams(10.0)
+    cutoff = thermal.auto_cutoff(10.0)
+    assert cutoff == 359
+    rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
+    thermal._sector_eigensystem.cache_clear()
+    tracemalloc.start()
+    try:
+        checks = list(verify._density_checks(amps, params, cutoff, rho))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak <= 8 * 16 * (cutoff + 1) ** 2
+
+
+def test_gate_checks_diagonalize_each_sector_once(monkeypatch):
+    # the sector eigensystems are temperature-free: the three n_bar of the
+    # gate checks share the four sectors (0, 1, 2, 4) of one cutoff
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    thermal._sector_eigensystem.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    checks = list(verify._gate_thermalization_checks(thermal.DEFAULT_AMPLITUDES))
+    assert len(checks) == len(verify.GATE_RESIDUAL_N_BARS) == 3
+    assert all(c.passed for c in checks)
+    size = verify.GATE_RESIDUAL_CUTOFF + 1
+    assert calls == [size, size - 1, size - 2, size - 4]
 
 
 def test_verify_contains_gate_residual(verify_report):

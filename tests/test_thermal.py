@@ -8,6 +8,7 @@ import scipy.linalg
 from dense_oracles import (
     bogoliubov_unitary,
     identity,
+    sector_exponential,
     sector_generator,
     tensor_product,
 )
@@ -19,7 +20,6 @@ from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     _apply_original,
     _bogoliubov_apply,
-    _sector_exponential,
     _superpose,
     PhysicalAmplitudes,
     ThermalParams,
@@ -345,7 +345,7 @@ def test_sector_exponential_matches_expm(n_bar):
     p = params_for(n_bar)
     cutoff = auto_cutoff(n_bar)
     worst = max(
-        np.abs(_sector_exponential(p.theta, cutoff, sector)
+        np.abs(sector_exponential(p.theta, cutoff, sector)
                - scipy.linalg.expm(p.theta * sector_generator(cutoff, sector))
                ).max()
         for sector in sectors_of(cutoff))
@@ -357,7 +357,7 @@ def test_sector_exponential_is_orthogonal(n_bar):
     p = params_for(n_bar)
     cutoff = auto_cutoff(n_bar)
     for sector in sectors_of(cutoff):
-        block = _sector_exponential(p.theta, cutoff, sector)
+        block = sector_exponential(p.theta, cutoff, sector)
         assert block.dtype == float
         assert np.abs(block @ block.T - np.eye(len(block))).max() <= 1e-13
 
@@ -368,7 +368,7 @@ def test_sector_exponential_vacuum_column_is_geometric(n_bar, cutoff):
     # the n = n_tilde sector maps |0, 0_tilde> to sech(theta) tanh(theta)^n
     # (cutoffs where the truncated tail is negligible)
     theta = params_for(n_bar).theta
-    column = _sector_exponential(theta, cutoff, 0)[:, 0]
+    column = sector_exponential(theta, cutoff, 0)[:, 0]
     expect = np.tanh(theta) ** np.arange(cutoff + 1) / np.cosh(theta)
     assert np.abs(column - expect).max() < 1e-10
 
@@ -469,7 +469,8 @@ def test_gate_residual_parity_gate():
 
 def test_bogoliubov_apply_matches_dense_unitary(monkeypatch):
     # U(beta) v and U^+(beta) v sector by sector, against the dense U(beta),
-    # for |psi', 0_tilde> (sectors 0, 1, 2 and 4 only) and a full vector
+    # for |psi', 0_tilde> (sectors 0, 1, 2 and 4 only) and full complex,
+    # real and imaginary vectors
     p = params_for(0.2)
     cutoff = 16
     d = cutoff + 1
@@ -477,21 +478,46 @@ def test_bogoliubov_apply_matches_dense_unitary(monkeypatch):
     sparse = np.zeros(d * d, dtype=complex)
     sparse[:d] = DEFAULT_AMPLITUDES.as_vector(cutoff)
     full = RNG.normal(size=d * d) + 1j * RNG.normal(size=d * d)
+    real = RNG.normal(size=d * d) + 0j
+    imaginary = 1j * RNG.normal(size=d * d)
+    every_sector = sorted(2 * list(range(-cutoff, cutoff + 1)))
+    thermal._sector_eigensystem.cache_clear()
     sectors = []
-    exponential = thermal._sector_exponential
+    eigensystem = thermal._sector_eigensystem
 
-    def counted(theta, cutoff, sector):
+    def counted(cutoff, sector):
         sectors.append(sector)
-        return exponential(theta, cutoff, sector)
+        return eigensystem(cutoff, sector)
 
-    monkeypatch.setattr(thermal, "_sector_exponential", counted)
-    for vec in (sparse, full):
+    monkeypatch.setattr(thermal, "_sector_eigensystem", counted)
+    for vec in (sparse, full, real, imaginary):
+        sectors.clear()
         assert np.abs(_bogoliubov_apply(p.theta, cutoff, vec)
                       - dense @ vec).max() <= 1e-14
         assert np.abs(_bogoliubov_apply(p.theta, cutoff, vec, inverse=True)
                       - dense.conj().T @ vec).max() <= 1e-14
-    assert sectors[:8] == [0, 1, 2, 4] * 2
-    assert sorted(sectors[8:]) == sorted(2 * list(range(-cutoff, cutoff + 1)))
+        if vec is sparse:
+            assert sectors == [0, 1, 2, 4] * 2
+        else:
+            assert sorted(sectors) == every_sector
+
+
+def test_sector_eigensystem_is_cached_across_temperatures():
+    # the eigensystem is theta-free: applying U(beta) at two n_bar on one
+    # cutoff diagonalizes once and shares the read-only (w, Q)
+    cutoff = 40
+    vac = np.zeros((cutoff + 1) ** 2, dtype=complex)
+    vac[0] = 1.0
+    thermal._sector_eigensystem.cache_clear()
+    _bogoliubov_apply(params_for(0.1).theta, cutoff, vac)
+    w, q = thermal._sector_eigensystem(cutoff, 0)
+    _bogoliubov_apply(params_for(0.5).theta, cutoff, vac)
+    again = thermal._sector_eigensystem(cutoff, 0)
+    assert again[0] is w and again[1] is q
+    assert thermal._sector_eigensystem.cache_info().misses == 1
+    for array in (w, q):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def dense_gate_residual(gate, amps, params, cutoff):
@@ -523,9 +549,13 @@ def test_gate_residual_sector_wise_matches_dense(gate_kind):
 
 
 def test_gate_residual_rejects_nonunitary():
-    bad = 0.5 * np.eye(21)
-    with pytest.raises(ValueError):
-        gate_thermalization_residual(bad, DEFAULT_AMPLITUDES, params_for(0.1), 20)
+    # a NaN entry makes max |U^+U - I| NaN, which no `>` comparison rejects
+    nan_gate = half_period_gate_matrix(20)
+    nan_gate[3, 3] = math.nan
+    for bad in (0.5 * np.eye(21), nan_gate):
+        with pytest.raises(ValueError, match="not unitary"):
+            gate_thermalization_residual(bad, DEFAULT_AMPLITUDES,
+                                         params_for(0.1), 20)
 
 
 def test_gate_residual_rejects_wrong_shape():
