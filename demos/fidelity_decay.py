@@ -15,32 +15,24 @@ import sys
 
 import numpy as np
 
-from thermoqubit import (
-    DEFAULT_AMPLITUDES,
-    ThermalParams,
-    fidelity_closed_form,
-)
+from thermoqubit import DEFAULT_AMPLITUDES, fidelity_columns
 
 n_bars = np.linspace(0.0, 2.0, 41)
 
 print("fidelity of the heated state vs the pure target")
 print(f"{'n_bar':>8} {'numeric':>12} {'closed form':>12} {'discrepancy':>12}")
-rows = []
-for n_bar in n_bars:
-    params = ThermalParams(float(n_bar))
-    rep = fidelity_closed_form(DEFAULT_AMPLITUDES, params)
-    rows.append((n_bar, rep.value_numeric, rep.value_closed_form,
-                 rep.abs_discrepancy))
+# the numeric, closed-form and discrepancy columns of the whole sweep
+rows = list(zip(n_bars, *fidelity_columns(DEFAULT_AMPLITUDES, n_bars)))
+for n_bar, numeric, closed, discrepancy in rows:
     if abs(n_bar * 10 - round(n_bar * 10)) < 1e-9:  # print every 0.1
-        print(f"{n_bar:8.2f} {rep.value_numeric:12.6f} "
-              f"{rep.value_closed_form:12.6f} {rep.abs_discrepancy:12.2e}")
+        print(f"{n_bar:8.2f} {numeric:12.6f} {closed:12.6f} "
+              f"{discrepancy:12.2e}")
 
 # the quoted "high fidelity" window: where does F actually cross 0.7?
 lo, hi = 0.0, 2.0
 for _ in range(50):
     mid = 0.5 * (lo + hi)
-    params = ThermalParams(mid)
-    if fidelity_closed_form(DEFAULT_AMPLITUDES, params).value_numeric > 0.7:
+    if fidelity_columns(DEFAULT_AMPLITUDES, [mid])[0][0] > 0.7:
         lo = mid
     else:
         hi = mid

@@ -15,13 +15,14 @@ import numpy as np
 from thermoqubit import (
     DEFAULT_AMPLITUDES,
     PhysicalAmplitudes,
-    ThermalParams,
-    mandel_numeric,
+    auto_cutoff,
+    mandel_columns,
 )
 
 
 def q_at(n_bar, amps=DEFAULT_AMPLITUDES):
-    return mandel_numeric(amps, ThermalParams(n_bar))
+    """The numeric Q at n_bar, read as a one-point block at the auto cutoff."""
+    return mandel_columns(amps, [n_bar], [auto_cutoff(n_bar)])[0][0]
 
 
 print("Mandel Q for the reference amplitude set")

@@ -23,7 +23,7 @@ if "numpy" not in _sys.modules and not any(
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _os.environ["MKL_NUM_THREADS"] = "1"
 
-from .errors import CutoffError, GridWideningError, MandelUndefinedError
+from .errors import CutoffError, GridWideningError
 from .fock import build_ladder, reduce_pure_state
 from .gates import (
     LogicalState,
@@ -37,15 +37,10 @@ from .observables import (
     CLOSED_FORM_WIGNER_SCALE,
     ExactWigner,
     GridSpec,
-    ObservableReport,
     WignerGrid,
-    fidelity_closed_form,
     fidelity_columns,
-    fidelity_numeric,
     heated_wigner,
-    mandel_closed_form,
     mandel_columns,
-    mandel_numeric,
     wigner_closed_form,
     wigner_exact,
     wigner_from_density,
@@ -60,7 +55,6 @@ from .thermal import (
     thermal_number_states,
     thermal_state_density_expansion,
     thermal_state_density_operator,
-    thermal_vacuum_density,
 )
 from .verify import run_verification
 
@@ -74,8 +68,6 @@ __all__ = [
     "GridSpec",
     "GridWideningError",
     "LogicalState",
-    "MandelUndefinedError",
-    "ObservableReport",
     "PhysicalAmplitudes",
     "ThermalParams",
     "WignerGrid",
@@ -85,21 +77,16 @@ __all__ = [
     "decode",
     "encode",
     "evolve_half_period",
-    "fidelity_closed_form",
     "fidelity_columns",
-    "fidelity_numeric",
     "gate_thermalization_residual",
     "half_period_gate_matrix",
     "heated_wigner",
-    "mandel_closed_form",
     "mandel_columns",
-    "mandel_numeric",
     "reduce_pure_state",
     "run_verification",
     "thermal_number_states",
     "thermal_state_density_expansion",
     "thermal_state_density_operator",
-    "thermal_vacuum_density",
     "wigner_closed_form",
     "wigner_exact",
     "wigner_from_density",

@@ -301,8 +301,8 @@ def cmd_wigner_grid(cfg: SweepConfig) -> bytes:
                                                    cfg.grid)
         except GridWideningError as exc:
             raise GridWideningError(f"{exc} at n_bar = {n_bar}") from None
-        closed, report = observables.wigner_closed_form(cfg.amps, params,
-                                                        numeric, cutoff)
+        closed, max_abs, l1 = observables.wigner_closed_form(
+            cfg.amps, params, numeric, cutoff)
     spec = closed.spec
     if not (np.isfinite(numeric.values).all()
             and np.isfinite(closed.values).all()):
@@ -330,8 +330,8 @@ def cmd_wigner_grid(cfg: SweepConfig) -> bytes:
         "integrated_total_closed_form": closed.integral(),
         "negativity_volume_numeric": observables.wigner_negativity(numeric),
         "negativity_volume_closed_form": observables.wigner_negativity(closed),
-        "max_abs_discrepancy": report.params["max_abs_discrepancy"],
-        "l1_discrepancy": report.params["l1_discrepancy"],
+        "max_abs_discrepancy": max_abs,
+        "l1_discrepancy": l1,
     }
     sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     if cfg.out != "-":

@@ -6,10 +6,6 @@ class CutoffError(ValueError):
     automatic selection exceeded the hard cap."""
 
 
-class MandelUndefinedError(ArithmeticError):
-    """Mandel Q is undefined: the state has zero mean occupation."""
-
-
 class GridWideningError(RuntimeError):
     """Phase-space grid failed the normalization check even at the widest
     allowed bounds."""

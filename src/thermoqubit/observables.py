@@ -4,8 +4,8 @@ Each diagnostic has a first-principles numeric path computed from the
 density matrix, and the published closed-form series evaluated exactly as
 printed.  The numeric paths are cross-checked against each other and act
 as ground truth; the closed forms are *audited*, never trusted, because
-several of them carry typos.  `ObservableReport` carries both values and
-their discrepancy so the audit is always visible.
+several of them carry typos.  Every reader returns both values with their
+discrepancy, so the audit is always visible.
 
 The Wigner function has a third, exact route: `wigner_exact` applies the
 Bopp operators of f(a^dagger) to the thermal Gaussian, which gives the
@@ -26,21 +26,21 @@ u^8 = (1 + n_bar)^4, which overflows from n_bar ~ 1.2e77.
 Fidelity and Mandel Q are evaluated in blocks of n_bar: `fidelity_columns`
 and `mandel_columns` return the numeric, closed-form and discrepancy
 columns of a whole block, as array expressions over a leading n_bar
-axis, and the sweeps call them once per bounded block of points.  The
-point-by-point functions are one-point calls of the same readers, and
-every value has the bits a point-by-point evaluation gives.
+axis, and the sweeps call them once per bounded block of points.  They
+are the only fidelity and Mandel readers: one point is a one-point block,
+and no value depends on the block it is read in.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridWideningError, MandelUndefinedError
+from .errors import GridWideningError
 from .thermal import (
     TAIL_TOL_DEFAULT,
     PhysicalAmplitudes,
@@ -49,7 +49,6 @@ from .thermal import (
     _density_entries,
     _float_pow,
     _ladder_coefficients,
-    resolve_cutoff,
     thermal_state_density_expansion,
     validate_cutoff,
 )
@@ -144,40 +143,6 @@ class WignerGrid:
         return float(self.values.sum() * self.cell_area)
 
 
-@dataclass(frozen=True)
-class ObservableReport:
-    """Numeric value, closed-form value and their absolute discrepancy.
-
-    `params` echoes the inputs (amplitudes, n_bar and the cutoff of a
-    truncated route) and any extra diagnostics a caller attaches.
-    """
-
-    value_numeric: float
-    value_closed_form: float | None = None
-    abs_discrepancy: float | None = None
-    params: dict = field(default_factory=dict)
-
-    @classmethod
-    def compare(cls, numeric: float, closed_form: float, params: dict
-                ) -> "ObservableReport":
-        return cls(
-            value_numeric=float(numeric),
-            value_closed_form=float(closed_form),
-            abs_discrepancy=abs(float(numeric) - float(closed_form)),
-            params=params,
-        )
-
-
-def _echo_params(amps: PhysicalAmplitudes, params: ThermalParams,
-                 **extra) -> dict:
-    out = {
-        "amps": [repr(a) for a in amps.as_tuple()],
-        "n_bar": params.n_bar,
-    }
-    out.update(extra)
-    return out
-
-
 def _block_n_bar(n_bar) -> np.ndarray:
     """A block reader's n_bar as a float array; ValueError at the first
     value that is not finite and nonnegative."""
@@ -224,15 +189,6 @@ def _fidelity_n_bar(n_bar) -> np.ndarray:
             raise FloatingPointError(f"u^8 = (1 + n_bar)^4 overflows at "
                                      f"n_bar = {value}") from None
     return n_bar
-
-
-def fidelity_numeric(amps: PhysicalAmplitudes, params: ThermalParams
-                     ) -> float:
-    """sqrt(<Psi| rho |Psi>) between the pure target and its heated state,
-    from rho's leading 5 x 5 block, whose entries take no cutoff.  Its
-    n_bar is checked as `fidelity_columns` checks one."""
-    amps.require_normalized()
-    return float(_fidelity_values(amps, _fidelity_n_bar([params.n_bar]))[0])
 
 
 def _fidelity_series_terms(amps: PhysicalAmplitudes, u: np.ndarray):
@@ -300,33 +256,21 @@ def fidelity_columns(amps: PhysicalAmplitudes, n_bar
     """Numeric fidelity, printed closed form and their absolute discrepancy
     at every n_bar of a block, as three arrays.
 
-    The values are those `fidelity_closed_form` reports point by point,
-    bit for bit.  No cutoff is taken: the numeric path reads only the
-    cutoff-free 5 x 5 block.  Raises ValueError at the first n_bar that is
-    not finite and nonnegative, FloatingPointError at the first whose
-    u^8 overflows, and ArithmeticError at the first point whose
-    fidelity^2 exceeds 1 beyond tolerance.
+    The closed form is the printed series summed verbatim and
+    square-rooted.  It is audited, not trusted: it drifts from the numeric
+    value, and disagrees even at zero temperature, where the fidelity is
+    exactly 1.  A point's values have the bits of that n_bar read alone.
+    No cutoff is taken: the numeric path reads only the cutoff-free 5 x 5
+    block.  Raises ValueError at the first n_bar that is not finite and
+    nonnegative, FloatingPointError at the first whose u^8 overflows, and
+    ArithmeticError at the first point whose fidelity^2 exceeds 1 beyond
+    tolerance.
     """
     amps.require_normalized()
     n_bar = _fidelity_n_bar(n_bar)
     closed = _fidelity_series(amps, n_bar)
     numeric = _fidelity_values(amps, n_bar)
     return numeric, closed, np.abs(numeric - closed)
-
-
-def fidelity_closed_form(amps: PhysicalAmplitudes, params: ThermalParams
-                         ) -> ObservableReport:
-    """Audit of the published closed-form fidelity against the numeric path.
-
-    The printed series is summed verbatim and square-rooted; the report
-    carries its discrepancy against `fidelity_numeric`, which is the
-    ground truth.  No tolerance is implied: the series is known to drift
-    from the numeric value (it disagrees even at zero temperature, where
-    the fidelity is exactly 1).
-    """
-    numeric, closed, _ = fidelity_columns(amps, [params.n_bar])
-    return ObservableReport.compare(numeric[0], closed[0],
-                                    _echo_params(amps, params))
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +302,6 @@ def _mandel_values(amps: PhysicalAmplitudes, n_bar: np.ndarray, cutoffs
     return q, mean
 
 
-def _mandel_point(amps: PhysicalAmplitudes, params: ThermalParams,
-                  cutoff: int) -> float:
-    """`mandel_numeric` at a resolved cutoff."""
-    q, mean_n = _mandel_values(amps, np.array([params.n_bar]), [cutoff])
-    if mean_n[0] < _MEAN_OCCUPATION_EPS:
-        raise MandelUndefinedError(
-            f"<N> = {mean_n[0]:.3e}: Mandel Q undefined on a zero-occupation "
-            f"state")
-    return float(q[0])
-
-
-def mandel_numeric(amps: PhysicalAmplitudes, params: ThermalParams,
-                   cutoff=None) -> float:
-    """Q = (<N^2> - <N>^2 - <N>) / <N> on the heated state."""
-    amps.require_normalized()
-    return _mandel_point(amps, params, resolve_cutoff(cutoff, params))
-
-
 def _mandel_coefficients(amps: PhysicalAmplitudes) -> dict:
     """The printed c1..c8 coefficient table (c9 is announced but never
     defined in the source; it does not appear in the formula)."""
@@ -402,7 +328,20 @@ def _mandel_coefficients(amps: PhysicalAmplitudes) -> dict:
 def _mandel_series(amps: PhysicalAmplitudes, n_bar: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(printed Q, its denominator c1 v^2 + c2 u^2) at every n_bar of a
-    block; Q is NaN where the denominator is below _MEAN_OCCUPATION_EPS."""
+    block; Q is NaN where the denominator is below _MEAN_OCCUPATION_EPS.
+
+    Evaluates, with the printed c1..c8,
+
+        Q = [(c6-c4) u^2 v^2 + (c7-c3) v^4 + (c8-c5) u^4 - c1 v^2 - c2 u^2]
+            / (c1 v^2 + c2 u^2)
+
+    The closed form matches the numeric path at zero temperature and
+    drifts for n_bar > 0: its u^2 v^2 coefficient c6 - c4 (4.24 at the
+    default amplitudes) is wrong.  With 3 c2 + c1 - 2 c1 c2 (3.85) there,
+    the formula matches the numeric Q at cutoff 512 within 6e-14 relative
+    (n_bar = 0.1, 1, 10; real and complex amplitudes).  It is evaluated as
+    printed; the numeric path arbitrates.
+    """
     c = _mandel_coefficients(amps)
     u2 = _float_pow(np.sqrt(1.0 + n_bar), 2)
     v2 = _float_pow(np.sqrt(n_bar), 2)
@@ -421,13 +360,13 @@ def mandel_columns(amps: PhysicalAmplitudes, n_bar, cutoffs
     """Numeric Mandel Q, printed closed form and their absolute discrepancy
     at every n_bar of a block, each point truncated at its cutoff.
 
-    The values are those `mandel_closed_form` reports point by point, bit
-    for bit.  Where either form is undefined (a zero-occupation state,
-    where the point-by-point functions raise MandelUndefinedError) all
-    three are NaN.  Raises ValueError at the first n_bar that is not
-    finite and nonnegative, for a cutoff count other than the n_bar count
-    or a cutoff that is not an integer, and CutoffError at the first
-    cutoff `validate_cutoff` rejects at its n_bar.
+    A point's values have the bits of that n_bar read alone.  Where either
+    form is undefined (<N> or the printed denominator below
+    _MEAN_OCCUPATION_EPS, as on the vacuum at zero temperature) all three
+    are NaN.  Raises ValueError at the first n_bar that is not finite and
+    nonnegative, for a cutoff count other than the n_bar count or a cutoff
+    that is not an integer, and CutoffError at the first cutoff
+    `validate_cutoff` rejects at its n_bar.
     """
     amps.require_normalized()
     n_bar = _block_n_bar(n_bar)
@@ -444,33 +383,6 @@ def mandel_columns(amps: PhysicalAmplitudes, n_bar, cutoffs
     undefined = (den < _MEAN_OCCUPATION_EPS) | (mean_n < _MEAN_OCCUPATION_EPS)
     closed[undefined] = numeric[undefined] = np.nan
     return numeric, closed, np.abs(numeric - closed)
-
-
-def mandel_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
-                       cutoff=None) -> ObservableReport:
-    """Audit of the published closed-form Mandel Q against the numeric path.
-
-    Evaluates, with the printed c1..c8,
-
-        Q = [(c6-c4) u^2 v^2 + (c7-c3) v^4 + (c8-c5) u^4 - c1 v^2 - c2 u^2]
-            / (c1 v^2 + c2 u^2)
-
-    The closed form matches the numeric path at zero temperature and
-    drifts for n_bar > 0: its u^2 v^2 coefficient c6 - c4 (4.24 at the
-    default amplitudes) is wrong.  With 3 c2 + c1 - 2 c1 c2 (3.85) there,
-    the formula matches `mandel_numeric` at cutoff 512 within 6e-14
-    relative (n_bar = 0.1, 1, 10; real and complex amplitudes).  It is
-    evaluated as printed; the numeric path arbitrates.
-    """
-    amps.require_normalized()
-    closed, den = _mandel_series(amps, np.array([params.n_bar]))
-    if den[0] < _MEAN_OCCUPATION_EPS:
-        raise MandelUndefinedError(
-            f"denominator c1 v^2 + c2 u^2 = {den[0]:.3e}: Mandel Q undefined")
-    cutoff = resolve_cutoff(cutoff, params)
-    numeric = _mandel_point(amps, params, cutoff)
-    return ObservableReport.compare(
-        numeric, closed[0], _echo_params(amps, params, cutoff=cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +725,7 @@ def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
 
 def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
                        numeric: WignerGrid, cutoff: int
-                       ) -> tuple[WignerGrid, ObservableReport]:
+                       ) -> tuple[WignerGrid, float, float]:
     """Published closed-form Wigner series on the grid of `numeric`, the
     Wigner function of the heated state at this cutoff, audited against it.
 
@@ -821,10 +733,10 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     products).  The series is truncated at the cutoff, weighted by
     (-1)^n k1^n under the Gaussian envelope, and rescaled by
     CLOSED_FORM_WIGNER_SCALE so both paths share the
-    integral-equals-trace normalization.  The returned report compares
-    integrals and records the pointwise and L1 discrepancies in its
-    params (the printed series is known to carry typos; the numeric grid
-    is ground truth).
+    integral-equals-trace normalization.  Returns the closed-form grid and
+    its maximum pointwise and L1 discrepancies against `numeric` (the
+    printed series is known to carry typos; the numeric grid is ground
+    truth).
 
     The printed families are summed on the distinct r^2 of the grid by one
     `_laguerre_sums` call, the accumulator the numeric kernel
@@ -860,15 +772,5 @@ def wigner_closed_form(amps: PhysicalAmplitudes, params: ThermalParams,
     values = params.k * CLOSED_FORM_WIGNER_SCALE * total
     closed = WignerGrid(spec, values)
 
-    diff = closed.values - numeric.values
-    report = ObservableReport.compare(
-        numeric.integral(), closed.integral(),
-        _echo_params(
-            amps, params, cutoff=cutoff,
-            max_abs_discrepancy=float(np.abs(diff).max()),
-            l1_discrepancy=float(np.abs(diff).sum() * spec.cell_area),
-            closed_form_scale=CLOSED_FORM_WIGNER_SCALE,
-            grid=[spec.q_min, spec.q_max, spec.p_min, spec.p_max,
-                  spec.nq, spec.np],
-        ))
-    return closed, report
+    diff = np.abs(closed.values - numeric.values)
+    return closed, float(diff.max()), float(diff.sum() * spec.cell_area)

@@ -40,9 +40,9 @@ _AMPLITUDE_TOL = 1e-12  # on |norm - 1| and on each imaginary part
 class ThermalParams:
     """Temperature scalars of one thermal occupation n_bar.
 
-    n_bar is the one stored value; u = sqrt(1 + n_bar), v = sqrt(n_bar)
-    and theta = arcsinh(sqrt(n_bar)) follow from it, so u^2 - v^2 = 1,
-    u = cosh(theta) and v = sinh(theta) up to rounding.
+    n_bar is the one stored value; u = sqrt(1 + n_bar) and
+    theta = arcsinh(sqrt(n_bar)) follow from it, so u = cosh(theta) and
+    sqrt(n_bar) = sinh(theta) up to rounding.
     """
 
     n_bar: float
@@ -57,10 +57,6 @@ class ThermalParams:
     @property
     def u(self) -> float:
         return math.sqrt(1.0 + self.n_bar)
-
-    @property
-    def v(self) -> float:
-        return math.sqrt(self.n_bar)
 
     @property
     def theta(self) -> float:
@@ -242,13 +238,6 @@ def resolve_cutoff(cutoff, params: ThermalParams,
     return cutoff
 
 
-def thermal_vacuum_density(params: ThermalParams, cutoff: int) -> np.ndarray:
-    """Bare thermal density matrix: diagonal k * k1^n with k = 1/(1+n_bar)."""
-    validate_cutoff(cutoff, params)
-    diag = params.k * params.k1 ** np.arange(cutoff + 1)
-    return np.diag(diag.astype(complex))
-
-
 def _occupation_shift_root(n: np.ndarray, shift: int) -> np.ndarray:
     """sqrt((n+1)(n+2)...(n+shift)) for vector n.
 
@@ -382,8 +371,10 @@ def _sector_couplings(cutoff: int, sector: int) -> np.ndarray:
 
 
 # the gate check applies U(beta) to the sectors 0, 1, 2 and 4 of one cutoff
-# at every n_bar it runs; eight entries hold those and a few density cutoffs
-@functools.lru_cache(maxsize=8)
+# at every n_bar it runs, and the density checks the sector 0 of each of
+# their five cutoffs: sixteen entries hold those nine, so a second verify
+# run in one process diagonalizes nothing again
+@functools.lru_cache(maxsize=16)
 def _sector_eigensystem(cutoff: int, sector: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs (w, Q), T = Q diag(w) Q^T, of one n - n_tilde

@@ -1,12 +1,13 @@
-"""Dense reference forms of the two-mode operators the package never forms.
+"""Dense reference forms of the operators the package never forms.
 
-The package applies U(beta) and gate x I to vectors sector by sector and
-reduces pure states without their projectors.  The tests compare those
-routes against the dense matrices built here: two-mode operators by
-np.kron in the composite index n_tilde * (cutoff + 1) + n, projectors by
-np.outer, the pair generator's sector blocks (which the tests exponentiate
-with scipy), the sector blocks of U(beta) formed from the package's cached
-eigensystems, and U(beta) assembled from those blocks.
+The package applies U(beta) and gate x I to vectors sector by sector,
+reduces pure states without their projectors and reads the bare thermal
+state's diagonal alone.  The tests compare those routes against the dense
+matrices built here: two-mode operators by np.kron in the composite index
+n_tilde * (cutoff + 1) + n, projectors by np.outer, the pair generator's
+sector blocks (which the tests exponentiate with scipy), the sector
+blocks of U(beta) formed from the package's cached eigensystems, U(beta)
+assembled from those blocks, and the bare thermal density matrix.
 """
 
 import numpy as np
@@ -30,6 +31,14 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def projector(v: np.ndarray) -> np.ndarray:
     """|v><v| on the space of v."""
     return np.outer(v, v.conj())
+
+
+def thermal_vacuum_density(params: thermal.ThermalParams, cutoff: int
+                           ) -> np.ndarray:
+    """Bare thermal density matrix: diagonal k * k1^n with k = 1/(1+n_bar)."""
+    thermal.validate_cutoff(cutoff, params)
+    diag = params.k * params.k1 ** np.arange(cutoff + 1)
+    return np.diag(diag.astype(complex))
 
 
 def sector_generator(cutoff: int, sector: int) -> np.ndarray:

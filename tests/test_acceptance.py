@@ -12,14 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from dense_oracles import bogoliubov_unitary
+from dense_oracles import bogoliubov_unitary, thermal_vacuum_density
 from thermoqubit import cli
 from thermoqubit.fock import reduce_pure_state
-from thermoqubit.observables import (
-    fidelity_numeric,
-    mandel_closed_form,
-    mandel_numeric,
-)
+from thermoqubit.observables import fidelity_columns, mandel_columns
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     ThermalParams,
@@ -28,7 +24,6 @@ from thermoqubit.thermal import (
     thermal_number_states,
     thermal_state_density_expansion,
     thermal_state_density_operator,
-    thermal_vacuum_density,
 )
 
 AMPS = DEFAULT_AMPLITUDES
@@ -45,7 +40,13 @@ def params_for(n_bar):
 
 @lru_cache(maxsize=None)
 def fidelity_at(n_bar):
-    return fidelity_numeric(AMPS, params_for(n_bar))
+    return fidelity_columns(AMPS, [n_bar])[0][0]
+
+
+def mandel_at(n_bar):
+    """(numeric, closed form) Q at n_bar and its auto cutoff."""
+    numeric, closed, _ = mandel_columns(AMPS, [n_bar], [auto_cutoff(n_bar)])
+    return numeric[0], closed[0]
 
 
 def verify_checks(verify_report, name, n_bars):
@@ -83,7 +84,7 @@ def test_criterion_03_high_fidelity_window():
         lo, hi = 0.0, below[0] if below[0] > 0 else 0.3
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if fidelity_numeric(AMPS, params_for(mid)) > 0.7:
+            if fidelity_at(mid) > 0.7:
                 lo = mid
             else:
                 hi = mid
@@ -98,7 +99,8 @@ def test_criterion_03_high_fidelity_window():
 
 def test_criterion_04_mandel_zero_crossing():
     samples = np.linspace(0.0, 1.0, 101)
-    values = [mandel_numeric(AMPS, params_for(nb)) for nb in samples]
+    values = mandel_columns(AMPS, samples,
+                            [auto_cutoff(nb) for nb in samples.tolist()])[0]
     crossings = [i for i in range(len(values) - 1)
                  if values[i] < 0.0 <= values[i + 1]
                  or values[i] >= 0.0 > values[i + 1]]
@@ -106,7 +108,7 @@ def test_criterion_04_mandel_zero_crossing():
     lo, hi = samples[crossings[0]], samples[crossings[0] + 1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if mandel_numeric(AMPS, params_for(mid)) < 0.0:
+        if mandel_at(mid)[0] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -117,10 +119,9 @@ def test_criterion_04_mandel_zero_crossing():
 
 
 def test_criterion_05_mandel_pure_state_value():
-    q_num = mandel_numeric(AMPS, params_for(0.0))
+    q_num, q_closed = mandel_at(0.0)
     assert abs(q_num - (-0.45)) < 1e-9
-    q_rep = mandel_closed_form(AMPS, params_for(0.0))
-    assert abs(q_rep.value_closed_form - (-0.45)) < 1e-9
+    assert abs(q_closed - (-0.45)) < 1e-9
     report(5, f"Q(n_bar=0) numeric = {q_num:.12f}, closed form agrees")
 
 

@@ -106,12 +106,9 @@ def test_sweep_fidelity_monotone(fidelity_csv):
 
 
 def test_sweep_fidelity_csv_round_trip(fidelity_csv):
-    from thermoqubit.observables import fidelity_numeric
-    from thermoqubit.thermal import DEFAULT_AMPLITUDES, ThermalParams
-
     for row in read_csv(fidelity_csv)[::13]:
-        params = ThermalParams(float(row["n_bar"]))
-        recomputed = fidelity_numeric(DEFAULT_AMPLITUDES, params)
+        recomputed = observables.fidelity_columns(
+            thermal.DEFAULT_AMPLITUDES, [float(row["n_bar"])])[0][0]
         assert abs(float(row["fidelity_numeric"]) - recomputed) < 1e-9
 
 
@@ -515,7 +512,7 @@ def heated_grid(seed: int):
     cutoff = thermal.auto_cutoff(1.0)
     grid = GridSpec().doubled()
     _, numeric = observables.heated_wigner(amps, params, cutoff, grid)
-    closed, _ = observables.wigner_closed_form(amps, params, numeric, cutoff)
+    closed = observables.wigner_closed_form(amps, params, numeric, cutoff)[0]
     return (closed.spec.q_axis(), closed.spec.p_axis(), numeric.values,
             closed.values)
 
@@ -896,6 +893,16 @@ def test_gate_checks_diagonalize_each_sector_once(monkeypatch):
     assert all(c.passed for c in checks)
     size = verify.GATE_RESIDUAL_CUTOFF + 1
     assert calls == [size, size - 1, size - 2, size - 4]
+
+
+def test_second_verify_run_diagonalizes_nothing_again():
+    # one run reads 9 sector eigensystems, the sector 0 of each of the five
+    # density cutoffs and the sectors 0, 1, 2 and 4 of the gate cutoff; the
+    # cache holds all of them, so a second run in one process misses none
+    thermal._sector_eigensystem.cache_clear()
+    for _ in range(2):
+        assert verify.run_verification()["all_passed"]
+    assert thermal._sector_eigensystem.cache_info().misses == 9
 
 
 def test_verify_contains_gate_residual(verify_report):

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoqubit.errors import MandelUndefinedError
 from thermoqubit.observables import (
     _laguerre_sums,
     _mandel_coefficients,
-    fidelity_closed_form,
+    _mandel_series,
     fidelity_columns,
-    fidelity_numeric,
-    mandel_closed_form,
-    mandel_numeric,
+    mandel_columns,
 )
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
@@ -38,20 +35,35 @@ def random_amps():
     return PhysicalAmplitudes(*raw)
 
 
+def fidelity_at(amps, n_bar):
+    """(numeric, closed form, discrepancy) of the fidelity at n_bar, read
+    as a one-point block."""
+    return tuple(column[0] for column in fidelity_columns(amps, [n_bar]))
+
+
+def mandel_at(amps, n_bar, cutoff=None):
+    """(numeric, closed form, discrepancy) of Mandel Q at n_bar, read as a
+    one-point block at this cutoff, else the auto cutoff."""
+    if cutoff is None:
+        cutoff = auto_cutoff(n_bar)
+    return tuple(column[0] for column in mandel_columns(amps, [n_bar],
+                                                        [cutoff]))
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 # ---------------------------------------------------------------------------
 
 def test_fidelity_pure_limit():
-    assert abs(fidelity_numeric(DEFAULT_AMPLITUDES, params_for(0.0)) - 1.0) < 1e-12
+    assert abs(fidelity_at(DEFAULT_AMPLITUDES, 0.0)[0] - 1.0) < 1e-12
     for _ in range(20):
-        f = fidelity_numeric(random_amps(), params_for(0.0))
+        f = fidelity_at(random_amps(), 0.0)[0]
         assert abs(f - 1.0) < 1e-12
 
 
 def test_fidelity_vacuum_amplitudes():
     # the heated vacuum keeps ground-state weight k = 1/(1+n_bar)
-    f = fidelity_numeric(PhysicalAmplitudes(1, 0, 0, 0), params_for(1.0))
+    f = fidelity_at(PhysicalAmplitudes(1, 0, 0, 0), 1.0)[0]
     assert abs(f - math.sqrt(0.5)) < 1e-12
 
 
@@ -62,40 +74,37 @@ def test_fidelity_dual_path_oracle():
     rho = thermal_state_density_operator(DEFAULT_AMPLITUDES, params, cutoff)
     psi = DEFAULT_AMPLITUDES.as_vector(cutoff)
     brute = math.sqrt(float(np.real(psi.conj() @ rho @ psi)))
-    fast = fidelity_numeric(DEFAULT_AMPLITUDES, params)
+    fast = fidelity_at(DEFAULT_AMPLITUDES, 0.5)[0]
     assert abs(fast - brute) < 1e-10
 
 
 def test_fidelity_global_phase_invariance():
-    params = params_for(0.4)
-    base = fidelity_numeric(DEFAULT_AMPLITUDES, params)
+    base = fidelity_at(DEFAULT_AMPLITUDES, 0.4)[0]
     phase = complex(math.cos(1.1), math.sin(1.1))
     rotated = PhysicalAmplitudes(*(phase * a for a in DEFAULT_AMPLITUDES.as_tuple()))
-    assert abs(fidelity_numeric(rotated, params) - base) < 1e-10
+    assert abs(fidelity_at(rotated, 0.4)[0] - base) < 1e-10
 
 
 def test_fidelity_closed_form_vacuum_case():
-    report = fidelity_closed_form(PhysicalAmplitudes(1, 0, 0, 0), params_for(0.0))
-    assert report.value_closed_form == pytest.approx(1.0, abs=1e-14)
-    assert report.abs_discrepancy == pytest.approx(0.0, abs=1e-12)
+    _, closed, discrepancy = fidelity_at(PhysicalAmplitudes(1, 0, 0, 0), 0.0)
+    assert closed == pytest.approx(1.0, abs=1e-14)
+    assert discrepancy == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_closed_form_reports_drift_at_zero_temperature():
     # the numeric value is exactly 1 at n_bar = 0, so any discrepancy is
     # the printed series' own error; it is known to be nonzero
-    report = fidelity_closed_form(DEFAULT_AMPLITUDES, params_for(0.0))
-    assert abs(report.value_numeric - 1.0) < 1e-12
-    assert report.abs_discrepancy == pytest.approx(
-        abs(report.value_closed_form - 1.0), abs=1e-12)
-    assert report.abs_discrepancy > 1e-6
+    numeric, closed, discrepancy = fidelity_at(DEFAULT_AMPLITUDES, 0.0)
+    assert abs(numeric - 1.0) < 1e-12
+    assert discrepancy == pytest.approx(abs(closed - 1.0), abs=1e-12)
+    assert discrepancy > 1e-6
 
 
 @pytest.mark.parametrize("n_bar", [0.1, 0.3, 1.0])
 def test_fidelity_closed_form_series_logged(n_bar):
-    report = fidelity_closed_form(DEFAULT_AMPLITUDES, params_for(n_bar))
-    assert math.isfinite(report.value_closed_form)
-    assert report.abs_discrepancy >= 0.0
-    assert report.params["n_bar"] == n_bar
+    numeric, closed, discrepancy = fidelity_at(DEFAULT_AMPLITUDES, n_bar)
+    assert math.isfinite(closed)
+    assert discrepancy == abs(numeric - closed) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -104,47 +113,50 @@ def test_fidelity_closed_form_series_logged(n_bar):
 
 def test_mandel_pure_state_value():
     # direct evaluation on the pure state: <N> = 2.85, <N^2> = 9.69
-    q = mandel_numeric(DEFAULT_AMPLITUDES, params_for(0.0))
+    q = mandel_at(DEFAULT_AMPLITUDES, 0.0)[0]
     assert abs(q - (-0.45)) < 1e-9
 
 
 def test_mandel_thermal_statistics():
-    q = mandel_numeric(PhysicalAmplitudes(1, 0, 0, 0), params_for(0.7))
+    q = mandel_at(PhysicalAmplitudes(1, 0, 0, 0), 0.7)[0]
     assert abs(q - 0.7) < 1e-9
 
 
 def test_mandel_sign_change():
-    q_cold = mandel_numeric(DEFAULT_AMPLITUDES, params_for(0.2))
-    q_warm = mandel_numeric(DEFAULT_AMPLITUDES, params_for(0.4))
+    q_cold = mandel_at(DEFAULT_AMPLITUDES, 0.2)[0]
+    q_warm = mandel_at(DEFAULT_AMPLITUDES, 0.4)[0]
     assert q_cold < 0.0 < q_warm
 
 
 def test_mandel_undefined_on_vacuum():
-    with pytest.raises(MandelUndefinedError):
-        mandel_numeric(PhysicalAmplitudes(1, 0, 0, 0), params_for(0.0))
+    # <N> = 0: the numeric Q, and so the whole row, is NaN
+    assert all(map(math.isnan, mandel_at(PhysicalAmplitudes(1, 0, 0, 0), 0.0)))
 
 
 def test_mandel_closed_form_zero_temperature():
-    report = mandel_closed_form(DEFAULT_AMPLITUDES, params_for(0.0))
+    _, closed, discrepancy = mandel_at(DEFAULT_AMPLITUDES, 0.0)
     # hand evaluation of the printed coefficients: c2 = 2.85, c5 = 8.1225,
     # c8 = 9.69, so Q = (c8 - c5)/c2 - 1 = -0.45
-    assert abs(report.value_closed_form - (-0.45)) < 1e-12
-    assert report.abs_discrepancy < 1e-9
+    assert abs(closed - (-0.45)) < 1e-12
+    assert discrepancy < 1e-9
 
 
 def test_mandel_closed_form_undefined_denominator():
-    with pytest.raises(MandelUndefinedError):
-        mandel_closed_form(PhysicalAmplitudes(1, 0, 0, 0), params_for(0.0))
+    # c1 v^2 + c2 u^2 = 0: the printed series is undefined, not just the
+    # numeric route
+    amps = PhysicalAmplitudes(1, 0, 0, 0)
+    closed, den = _mandel_series(amps, np.array([0.0]))
+    assert den[0] == 0.0 and math.isnan(closed[0])
+    assert math.isnan(mandel_at(amps, 0.0)[1])
 
 
 @pytest.mark.parametrize("n_bar", [0.1, 0.3, 1.0, 10.0])
 def test_mandel_closed_form_discrepancy_logged(n_bar):
     # one printed coefficient is wrong (see below); the numeric path is
-    # ground truth and the report only documents the drift
-    report = mandel_closed_form(DEFAULT_AMPLITUDES, params_for(n_bar))
-    assert math.isfinite(report.value_closed_form)
-    assert report.abs_discrepancy == pytest.approx(
-        abs(report.value_numeric - report.value_closed_form), rel=1e-12)
+    # ground truth and the discrepancy column only documents the drift
+    numeric, closed, discrepancy = mandel_at(DEFAULT_AMPLITUDES, n_bar)
+    assert math.isfinite(closed)
+    assert discrepancy == abs(numeric - closed)
 
 
 def mandel_one_coefficient_fixed(amps, n_bar):
@@ -181,7 +193,7 @@ MANDEL_AMPS = ([DEFAULT_AMPLITUDES]
                               "complex-0", "complex-1", "complex-2"])
 @pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
 def test_mandel_printed_formula_exact_with_one_coefficient_fixed(amps, n_bar):
-    q = mandel_numeric(amps, params_for(n_bar), cutoff=512)
+    q = mandel_at(amps, n_bar, cutoff=512)[0]
     fixed = mandel_one_coefficient_fixed(amps, n_bar)
     assert abs(fixed - q) <= 1e-12 * max(1.0, abs(q))
 
@@ -213,17 +225,17 @@ def test_readers_match_dense_expansion(amps, n_bar):
     rho = thermal_state_density_expansion(amps, params, cutoff)
     psi = amps.as_vector(cutoff)
     dense_fidelity = math.sqrt(max(float(np.real(psi.conj() @ rho @ psi)), 0.0))
-    assert _close(fidelity_numeric(amps, params), dense_fidelity)
+    assert _close(fidelity_at(amps, n_bar)[0], dense_fidelity)
 
     n = np.arange(cutoff + 1, dtype=float)
     diag = np.diag(rho).real
     mean_n, mean_n2 = float(diag @ n), float(diag @ (n * n))
+    q = mandel_at(amps, n_bar)[0]
     if mean_n < 1e-12:
-        with pytest.raises(MandelUndefinedError):
-            mandel_numeric(amps, params)
+        assert math.isnan(q)
         return
     dense_q = (mean_n2 - mean_n**2 - mean_n) / mean_n
-    assert _close(mandel_numeric(amps, params), dense_q)
+    assert _close(q, dense_q)
 
 
 @pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
@@ -242,15 +254,11 @@ def test_fidelity_independent_of_cutoff(n_bar):
         assert fidelity == math.sqrt(max(value, 0.0))
 
 
-def test_fidelity_numeric_overflow_matches_block_reader():
-    # u^8 overflows at n_bar = 1e200; the point reader raises the block
-    # reader's error, not the OverflowError of u^4 deeper down
-    with pytest.raises(FloatingPointError) as block:
+def test_fidelity_columns_overflow_raises_floating_point_error():
+    # u^8 overflows at n_bar = 1e200; the reader raises its own error, not
+    # the OverflowError of u^4 deeper down
+    with pytest.raises(FloatingPointError, match="overflows"):
         fidelity_columns(DEFAULT_AMPLITUDES, [1e200])
-    with pytest.raises(FloatingPointError) as point:
-        fidelity_numeric(DEFAULT_AMPLITUDES, params_for(1e200))
-    assert str(point.value) == str(block.value)
-    assert "overflows" in str(point.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The sweeps evaluate n_bar in blocks: the block readers against the
-point-by-point public functions and the sweep's block loop; and every
-benchmark command against its committed reference."""
+"""The sweeps evaluate n_bar in blocks: the sweep's block loop against each
+n_bar read as a one-point block, the block readers against the scalar
+arithmetic they replaced; and every benchmark command against its
+committed reference."""
 
 import importlib
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoqubit import cli, observables
-from thermoqubit.errors import CutoffError, MandelUndefinedError
+from thermoqubit.errors import CutoffError
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     PhysicalAmplitudes,
@@ -21,6 +22,7 @@ from thermoqubit.thermal import (
     _mul_conj,
     auto_cutoff,
     resolve_cutoff,
+    validate_cutoff,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -59,39 +61,34 @@ def resolved_cutoff(cfg, n_bar):
     return resolve_cutoff(cfg.cutoff, ThermalParams(n_bar), cfg.tail_tol)
 
 
-def point_by_point(cfg, closed_form):
-    """(n_bar, numeric, closed form, discrepancy) rows from the per-point
-    public function `closed_form(params)`, with the NaN row the sweep
-    writes where it raises MandelUndefinedError."""
-    rows = []
-    for n_bar in cfg.n_bar_values().tolist():
-        try:
-            report = closed_form(ThermalParams(n_bar))
-        except MandelUndefinedError:
-            rows.append((n_bar, math.nan, math.nan, math.nan))
-            continue
-        rows.append((n_bar, report.value_numeric, report.value_closed_form,
-                     report.abs_discrepancy))
+def point_by_point(cfg, reader):
+    """(n_bar, numeric, closed form, discrepancy) columns with each n_bar of
+    the sweep read alone, as the one-point block [n_bar]."""
+    rows = [(n_bar, *(column[0] for column in reader(np.array([n_bar]))))
+            for n_bar in cfg.n_bar_values().tolist()]
     return [bits(column) for column in zip(*rows)]
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(cfg=sweep_configs())
 def test_fidelity_blocks_match_points_bit_for_bit(cfg):
-    columns = cli._sweep_columns(
-        cfg, lambda n_bar: observables.fidelity_columns(cfg.amps, n_bar))
-    assert [bits(c) for c in columns] == point_by_point(
-        cfg, lambda params: observables.fidelity_closed_form(cfg.amps, params))
+    def reader(n_bar):
+        return observables.fidelity_columns(cfg.amps, n_bar)
+
+    columns = cli._sweep_columns(cfg, reader)
+    assert [bits(c) for c in columns] == point_by_point(cfg, reader)
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(cfg=sweep_configs())
 def test_mandel_blocks_match_points_bit_for_bit(cfg):
-    columns = cli._sweep_columns(cfg, lambda n_bar: observables.mandel_columns(
-        cfg.amps, n_bar, [resolved_cutoff(cfg, v) for v in n_bar.tolist()]))
-    assert [bits(c) for c in columns] == point_by_point(
-        cfg, lambda params: observables.mandel_closed_form(
-            cfg.amps, params, resolved_cutoff(cfg, params.n_bar)))
+    # NaN rows included, where Q is undefined
+    def reader(n_bar):
+        return observables.mandel_columns(
+            cfg.amps, n_bar, [resolved_cutoff(cfg, v) for v in n_bar.tolist()])
+
+    columns = cli._sweep_columns(cfg, reader)
+    assert [bits(c) for c in columns] == point_by_point(cfg, reader)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -185,7 +182,7 @@ def _reference_mandel(amps, params, cutoff):
     mean_n, mean_n2 = float(diag @ n), float(diag @ (n * n))
     numeric = (mean_n2 - mean_n**2 - mean_n) / mean_n
     c = observables._mandel_coefficients(amps)
-    u2, v2 = params.u ** 2, params.v ** 2
+    u2, v2 = params.u ** 2, math.sqrt(params.n_bar) ** 2
     num = ((c["c6"] - c["c4"]) * u2 * v2 + (c["c7"] - c["c3"]) * v2**2
            + (c["c8"] - c["c5"]) * u2**2 - c["c1"] * v2 - c["c2"] * u2)
     return numeric, num / (c["c1"] * v2 + c["c2"] * u2)
@@ -215,9 +212,6 @@ def test_vacuum_at_zero_temperature_gives_undefined_mandel_row():
         vacuum, [0.0, 0.5], [auto_cutoff(0.0), auto_cutoff(0.5)])
     assert all(math.isnan(c[0]) for c in (numeric, closed, discrepancy))
     assert numeric[1] == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(MandelUndefinedError):
-        observables.mandel_closed_form(
-            vacuum, ThermalParams(0.0))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -257,7 +251,7 @@ def test_block_readers_reject_bad_n_bar(bad, at):
     # below the floor of 8: the cutoff would drop |4> or the ladder shift
     ([1.0], [3], CutoffError, "cutoff 3 below the minimum 8"),
     ([1.0], [-5], CutoffError, "cutoff -5 below the minimum 8"),
-    # where mandel_numeric raises for the same point
+    # the geometric tail bound `validate_cutoff` checks
     ([14.0], [20], CutoffError, "cutoff 20 leaves geometric tail mass"),
     ([1.0], [2.5], ValueError, "cutoff must be an integer, got 2.5"),
     ([1.0], [np.float64(60.0)], ValueError, "cutoff must be an integer"),
@@ -272,18 +266,20 @@ def test_mandel_columns_rejects_bad_cutoffs(n_bar, cutoffs, error, message):
         observables.mandel_columns(DEFAULT_AMPLITUDES, n_bar, cutoffs)
 
 
-def test_mandel_columns_cutoff_error_matches_mandel_numeric():
-    params = ThermalParams(14.0)
-    with pytest.raises(CutoffError) as numeric:
-        observables.mandel_numeric(DEFAULT_AMPLITUDES, params, 20)
+def test_mandel_columns_cutoff_error_names_validate_cutoff():
+    # the reader raises what `validate_cutoff` raises for the same point
+    with pytest.raises(CutoffError) as direct:
+        validate_cutoff(20, ThermalParams(14.0))
     with pytest.raises(CutoffError) as columns:
         observables.mandel_columns(DEFAULT_AMPLITUDES, [14.0], [20])
-    assert str(columns.value) == str(numeric.value)
+    assert str(columns.value) == str(direct.value)
     # numpy integers are integers
-    numeric, _, _ = observables.mandel_columns(
-        DEFAULT_AMPLITUDES, [1.0], [np.int64(auto_cutoff(1.0))])
-    assert numeric[0] == observables.mandel_numeric(
-        DEFAULT_AMPLITUDES, ThermalParams(1.0))
+    cutoff = auto_cutoff(1.0)
+    numpy_int = observables.mandel_columns(DEFAULT_AMPLITUDES, [1.0],
+                                           [np.int64(cutoff)])
+    python_int = observables.mandel_columns(DEFAULT_AMPLITUDES, [1.0],
+                                            [cutoff])
+    assert [bits(c) for c in numpy_int] == [bits(c) for c in python_int]
 
 
 @pytest.mark.parametrize("end", ["n_bar_start", "n_bar_end"])

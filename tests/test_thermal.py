@@ -11,6 +11,7 @@ from dense_oracles import (
     sector_exponential,
     sector_generator,
     tensor_product,
+    thermal_vacuum_density,
 )
 from thermoqubit import thermal
 from thermoqubit.errors import CutoffError
@@ -28,7 +29,6 @@ from thermoqubit.thermal import (
     thermal_number_states,
     thermal_state_density_expansion,
     thermal_state_density_operator,
-    thermal_vacuum_density,
     validate_cutoff,
 )
 
@@ -51,21 +51,22 @@ def doubled_vacuum(cutoff):
 
 def test_bogoliubov_factors_zero_temperature():
     p = params_for(0.0)
-    assert (p.u, p.v, p.theta) == (1.0, 0.0, 0.0)
+    assert (p.u, math.sqrt(p.n_bar), p.theta) == (1.0, 0.0, 0.0)
 
 
 def test_bogoliubov_factors_unit_occupation():
     p = params_for(1.0)
     assert p.u == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    assert p.v == pytest.approx(1.0, abs=1e-14)
+    assert math.sqrt(p.n_bar) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n_bar", [0.1, 0.3, 10.0])
 def test_hyperbolic_identity(n_bar):
     p = params_for(n_bar)
-    assert abs(p.u**2 - p.v**2 - 1.0) < 1e-12
+    v = math.sqrt(n_bar)
+    assert abs(p.u**2 - v**2 - 1.0) < 1e-12
     assert abs(p.u - math.cosh(p.theta)) < 1e-12
-    assert abs(p.v - math.sinh(p.theta)) < 1e-12
+    assert abs(v - math.sinh(p.theta)) < 1e-12
 
 
 def test_negative_occupation_rejected():
@@ -92,9 +93,8 @@ def test_derived_scalars_keep_their_bits(n_bar):
     p = ThermalParams(np.float64(n_bar))
     assert [f.name for f in dataclasses.fields(p)] == ["n_bar"]
     assert type(p.n_bar) is float
-    got = (p.u, p.v, p.theta)
-    expect = (math.sqrt(1.0 + n_bar), math.sqrt(n_bar),
-              math.asinh(math.sqrt(n_bar)))
+    got = (p.u, p.theta)
+    expect = (math.sqrt(1.0 + n_bar), math.asinh(math.sqrt(n_bar)))
     assert [float.hex(x) for x in got] == [float.hex(x) for x in expect]
     assert p == params_for(n_bar)
 

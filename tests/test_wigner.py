@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import thermal_vacuum_density
 from thermoqubit import observables
 from thermoqubit.errors import GridWideningError
 from thermoqubit.observables import (
@@ -27,7 +28,6 @@ from thermoqubit.thermal import (
     ThermalParams,
     auto_cutoff,
     thermal_state_density_expansion,
-    thermal_vacuum_density,
 )
 
 GRID6 = GridSpec(-6, 6, -6, 6, 201, 201)
@@ -57,12 +57,13 @@ def heated_rho(n_bar, amps=DEFAULT_AMPLITUDES):
 def closed_form(amps, params, grid=None, cutoff=None):
     """`wigner_closed_form` on the numeric grid of the heated state: the
     auto cutoff when none is given, the widened default grid when no grid
-    is."""
+    is.  Returns (numeric, closed form, max |discrepancy|, L1 discrepancy).
+    """
     if cutoff is None:
         cutoff = auto_cutoff(params.n_bar)
     rho = thermal_state_density_expansion(amps, params, cutoff)
-    return wigner_closed_form(amps, params, wigner_from_density(rho, grid),
-                              cutoff)
+    numeric = wigner_from_density(rho, grid)
+    return (numeric, *wigner_closed_form(amps, params, numeric, cutoff))
 
 
 def test_vacuum_peak():
@@ -402,11 +403,11 @@ def test_closed_form_thermal_family_matches_numeric():
     # survives, so the printed series must agree with the numeric kernel
     amps = PhysicalAmplitudes(1, 0, 0, 0)
     params = params_for(0.3)
-    closed, report = closed_form(amps, params, GRID6, cutoff=60)
+    _, closed, max_abs, _ = closed_form(amps, params, GRID6, cutoff=60)
     numeric = wigner_from_density(
         thermal_vacuum_density(params, 60), GRID6)
     assert np.abs(closed.values - numeric.values).max() < 1e-8
-    assert report.params["max_abs_discrepancy"] < 1e-8
+    assert max_abs < 1e-8
 
 
 def closed_form_by_family(amps, params, spec, cutoff):
@@ -444,15 +445,14 @@ def closed_form_by_family(amps, params, spec, cutoff):
 def test_closed_form_matches_per_family_loop(n_bar):
     params = params_for(n_bar)
     cutoff = auto_cutoff(n_bar)
-    closed, report = closed_form(DEFAULT_AMPLITUDES, params, cutoff=cutoff)
-    spec = GridSpec(*report.params["grid"])
+    _, closed, _, _ = closed_form(DEFAULT_AMPLITUDES, params, cutoff=cutoff)
     assert_bit_identical(
         closed.values,
-        closed_form_by_family(DEFAULT_AMPLITUDES, params, spec, cutoff))
+        closed_form_by_family(DEFAULT_AMPLITUDES, params, closed.spec, cutoff))
 
 
 def test_closed_form_grid_negative_region_cold():
-    closed, _ = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
+    closed = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))[1]
     assert closed.values.min() < 0.0
 
 
@@ -464,16 +464,15 @@ def test_closed_form_requires_real_amplitudes():
 
 
 def test_closed_form_discrepancy_reported():
-    closed, report = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
-    assert report.params["max_abs_discrepancy"] > 0.0
-    assert report.params["l1_discrepancy"] > 0.0
-    assert report.params["closed_form_scale"] == CLOSED_FORM_WIGNER_SCALE
-    assert report.abs_discrepancy == pytest.approx(
-        abs(report.value_numeric - report.value_closed_form), rel=1e-12)
+    numeric, closed, max_abs, l1 = closed_form(DEFAULT_AMPLITUDES,
+                                               params_for(0.1))
+    diff = np.abs(closed.values - numeric.values)
+    assert max_abs == diff.max() > 0.0
+    assert l1 == diff.sum() * numeric.cell_area > 0.0
 
 
 def test_negativity_fades_with_temperature():
-    cold, _ = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))
+    cold = closed_form(DEFAULT_AMPLITUDES, params_for(0.1))[1]
     numeric_cold = wigner_from_density(heated_rho(0.1))
     numeric_hot = wigner_from_density(heated_rho(10.0))
     assert wigner_negativity(numeric_hot) < wigner_negativity(numeric_cold)
