@@ -84,6 +84,10 @@ class GridSpec:
     np: int = 257
 
     def __post_init__(self):
+        if not (isinstance(self.nq, numbers.Integral)
+                and isinstance(self.np, numbers.Integral)):
+            raise ValueError(f"grid point counts must be integers, got "
+                             f"nq = {self.nq!r}, np = {self.np!r}")
         if self.nq < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if not all(map(math.isfinite,
@@ -288,8 +292,8 @@ def _mandel_values(amps: PhysicalAmplitudes, n_bar: np.ndarray, cutoffs
     bit.
     """
     sizes = [cutoff + 1 for cutoff in cutoffs]
-    diag = _density_entries(amps, n_bar, max(sizes), diagonal=True)
-    n = np.arange(max(sizes), dtype=float)
+    diag = _density_entries(amps, n_bar, max(sizes, default=0), diagonal=True)
+    n = np.arange(diag.shape[1], dtype=float)
     n2 = n * n
     q = np.full(len(sizes), np.nan)
     mean = np.empty(len(sizes))
@@ -375,8 +379,6 @@ def mandel_columns(amps: PhysicalAmplitudes, n_bar, cutoffs
         raise ValueError(f"{len(cutoffs)} cutoffs for {len(n_bar)} n_bar "
                          f"values")
     for value, cutoff in zip(n_bar.tolist(), cutoffs):
-        if not isinstance(cutoff, numbers.Integral):
-            raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
         validate_cutoff(cutoff, ThermalParams(value))
     closed, den = _mandel_series(amps, n_bar)
     numeric, mean_n = _mandel_values(amps, n_bar, cutoffs)
@@ -399,50 +401,35 @@ def _laguerre_sums(ks, coef: np.ndarray, arg: np.ndarray,
     functions, which is exact (it is linear) and keeps intermediates
     bounded where the bare polynomials would overflow.  Rows
     with the same superscript share one recurrence, up to the last nonzero
-    coefficient of any of them; all superscripts step together in three
-    reused buffers.  Each row is summed from +0 in increasing m, so zero
-    coefficients add nothing and the other rows do not change its bits:
-    an all-zero row stays +0, and where the envelope is 0 (every term an
-    exact zero) nothing is evaluated.
+    coefficient of any of them.  Each row is summed from +0 in increasing
+    m, so zero coefficients add nothing and the other rows do not change
+    its bits: an all-zero row stays +0, and where the envelope is 0 (every
+    term an exact zero) nothing is evaluated.
     """
     sums = np.zeros((len(coef), arg.size))
     live = np.flatnonzero(envelope)
     arg, envelope = arg[live], envelope[live]
+    prev, cur, nxt = (np.empty(live.size) for _ in range(3))
     summed = [i for i, row in enumerate(coef) if row.any()]
-    tops = {}  # superscript -> the last degree any of its rows needs
-    for i in summed:
-        tops[ks[i]] = max(tops.get(ks[i], 0), np.flatnonzero(coef[i])[-1])
-    order = sorted(tops, key=lambda kk: -tops[kk])  # longest recurrence first
-    summed.sort(key=lambda i: order.index(ks[i]))
-    # summed row j reads recurrence row src[j]; while the first `rows`
-    # recurrences run, the first ends[rows - 1] summed rows do
-    src = [order.index(ks[i]) for i in summed]
-    ends = np.searchsorted(src, np.arange(len(order)), side="right")
-    c = coef[summed]
-    acc = np.zeros((len(summed), live.size))
-    k = np.asarray(order, dtype=float)[:, None]
-    prev, cur, nxt = (np.empty((len(order), live.size)) for _ in range(3))
-    cur[...] = envelope
-    rows = len(order)
-    for m in range(max(tops.values(), default=-1) + 1):
-        while tops[order[rows - 1]] < m:
-            rows -= 1
-        out, kr = nxt[:rows], k[:rows]
-        if m == 1:
-            np.subtract(1.0 + kr, arg, out=out)
-            np.multiply(out, envelope, out=out)
-        elif m > 1:
-            np.subtract(2 * m - 1 + kr, arg, out=out)
-            np.multiply(out, cur[:rows], out=out)
-            back = prev[:rows]  # L_{m-2} is not needed after this step
-            np.multiply(m - 1 + kr, back, out=back)
-            np.subtract(out, back, out=out)
-            np.divide(out, m, out=out)
-        if m:
-            prev, cur, nxt = cur, nxt, prev
-        n = ends[rows - 1]
-        acc[:n] += c[:n, m, None] * cur[src[:n]]
-    sums[np.ix_(summed, live)] = acc
+    for k in sorted({ks[i] for i in summed}):
+        rows = [i for i in summed if ks[i] == k]
+        c = coef[rows]
+        acc = np.zeros((len(rows), live.size))
+        cur[...] = envelope
+        for m in range(np.flatnonzero(c.any(axis=0))[-1] + 1):
+            if m == 1:
+                np.subtract(1.0 + k, arg, out=nxt)
+                np.multiply(nxt, envelope, out=nxt)
+            elif m > 1:
+                np.subtract(2 * m - 1 + k, arg, out=nxt)
+                np.multiply(nxt, cur, out=nxt)
+                np.multiply(m - 1 + k, prev, out=prev)  # L_{m-2} is done
+                np.subtract(nxt, prev, out=nxt)
+                np.divide(nxt, m, out=nxt)
+            if m:
+                prev, cur, nxt = cur, nxt, prev
+            acc += c[:, m, None] * cur
+        sums[np.ix_(rows, live)] = acc
     return sums
 
 
@@ -694,7 +681,8 @@ def heated_wigner(amps: PhysicalAmplitudes, params: ThermalParams,
 def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
                           qg: np.ndarray, pg: np.ndarray, n: np.ndarray):
     """The ten printed Laguerre families: (superscript k, index shift s,
-    phase-space prefactor grid, weights over the master-sum index n).
+    phase-space prefactor, weights over the master-sum index n).  A
+    prefactor is a number where the printed one is constant, else a grid.
 
     Family f contributes prefactor * weight[n] * L_{n+s}^k(2 r^2) inside
     the master sum over n.  Transcribed verbatim, including the suspect
@@ -703,13 +691,12 @@ def _closed_form_families(amps: PhysicalAmplitudes, params: ThermalParams,
     """
     x, y, z, w = [complex(a).real for a in amps.as_tuple()]
     u = params.u
-    one = np.ones_like(qg)
     flat = np.ones_like(n)
     return [
-        (0, 0, 2 * x**2 * one, flat),
-        (0, 1, -(2 * y**2 / u) * one, n + 1.0),
-        (0, 2, (z**2 / u**4) * one, (n + 1.0) * (n + 2.0)),
-        (0, 4, (2 * w**2 / (24.0 * u**8)) * one,
+        (0, 0, 2 * x**2, flat),
+        (0, 1, -(2 * y**2 / u), n + 1.0),
+        (0, 2, z**2 / u**4, (n + 1.0) * (n + 2.0)),
+        (0, 4, 2 * w**2 / (24.0 * u**8),
          (n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0)),
         (1, 0, (4 * math.sqrt(2.0) * x * y / u) * qg, flat),
         (2, 0, (4 * math.sqrt(2.0) * x * z / u**2) * (qg**2 - pg**2), flat),

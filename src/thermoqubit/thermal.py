@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,10 @@ def auto_cutoff(n_bar: float, tail_tol: float = TAIL_TOL_DEFAULT) -> int:
 
 def validate_cutoff(cutoff: int, params: ThermalParams,
                     tail_tol: float = TAIL_TOL_DEFAULT):
-    """Check the bare geometric tail condition k1^(cutoff+1) < tail_tol*(1-k1)."""
+    """Check that the cutoff is an integer (ValueError) and the bare
+    geometric tail condition k1^(cutoff+1) < tail_tol*(1-k1)."""
+    if not isinstance(cutoff, numbers.Integral):
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < _CUTOFF_FLOOR:
         raise CutoffError(f"cutoff {cutoff} below the minimum {_CUTOFF_FLOOR}")
     if cutoff > CUTOFF_CAP:
@@ -233,9 +237,8 @@ def resolve_cutoff(cutoff, params: ThermalParams,
     """Accept an explicit cutoff (validated) or None/'auto' (selected)."""
     if cutoff is None or cutoff == "auto":
         return auto_cutoff(params.n_bar, tail_tol)
-    cutoff = int(cutoff)
     validate_cutoff(cutoff, params, tail_tol)
-    return cutoff
+    return int(cutoff)
 
 
 def _occupation_shift_root(n: np.ndarray, shift: int) -> np.ndarray:

@@ -247,6 +247,13 @@ def test_block_readers_reject_bad_n_bar(bad, at):
         observables.mandel_columns(DEFAULT_AMPLITUDES, n_bar, [8] * len(n_bar))
 
 
+def test_block_readers_read_an_empty_block():
+    # no n_bar: three empty columns from either reader
+    for columns in (observables.fidelity_columns(DEFAULT_AMPLITUDES, []),
+                    observables.mandel_columns(DEFAULT_AMPLITUDES, [], [])):
+        assert [c.shape for c in columns] == [(0,)] * 3
+
+
 @pytest.mark.parametrize("n_bar, cutoffs, error, message", [
     # below the floor of 8: the cutoff would drop |4> or the ladder shift
     ([1.0], [3], CutoffError, "cutoff 3 below the minimum 8"),

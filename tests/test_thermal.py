@@ -17,6 +17,7 @@ from thermoqubit import thermal
 from thermoqubit.errors import CutoffError
 from thermoqubit.fock import build_ladder, reduce_pure_state
 from thermoqubit.gates import half_period_gate_matrix
+from thermoqubit.observables import GridSpec, heated_wigner
 from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     _apply_original,
@@ -26,6 +27,7 @@ from thermoqubit.thermal import (
     ThermalParams,
     auto_cutoff,
     gate_thermalization_residual,
+    resolve_cutoff,
     thermal_number_states,
     thermal_state_density_expansion,
     thermal_state_density_operator,
@@ -182,6 +184,31 @@ def test_auto_cutoff_matches_loop_on_benchmark_sweeps():
 def test_insufficient_cutoff_rejected():
     with pytest.raises(CutoffError):
         thermal_vacuum_density(params_for(10.0), 20)
+
+
+NON_INTEGER_CALLS = {
+    "resolve_cutoff": lambda c: resolve_cutoff(c, params_for(1.0)),
+    "expansion": lambda c: thermal_state_density_expansion(
+        DEFAULT_AMPLITUDES, params_for(1.0), c),
+    "operator": lambda c: thermal_state_density_operator(
+        DEFAULT_AMPLITUDES, params_for(1.0), c),
+    "number-states": lambda c: thermal_number_states(params_for(1.0), c),
+    "heated-wigner": lambda c: heated_wigner(DEFAULT_AMPLITUDES,
+                                             params_for(1.0), c),
+    "grid-nq": lambda c: GridSpec(nq=c),
+    "grid-np": lambda c: GridSpec(np=c),
+}
+
+
+@pytest.mark.parametrize("value", [60.5, np.float64(60.0)],
+                         ids=["fraction", "float-type"])
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(),
+                         ids=NON_INTEGER_CALLS.keys())
+def test_non_integer_cutoff_or_point_count_rejected(call, value):
+    # a cutoff is checked by `validate_cutoff`, a grid's point counts by
+    # GridSpec, before either reaches numpy
+    with pytest.raises(ValueError, match=r"must be (an integer|integers), got"):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

@@ -329,12 +329,21 @@ def assert_kernel_matches_per_offset_loop(rho, grid):
     assert np.abs(got - raw).max() <= 1e-15 * np.abs(got).max()
 
 
-@pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
+# a complex rho, whose real and imaginary rows of one offset share a
+# recurrence, to degree ~360 at n_bar = 10
+COMPLEX_HEATED = PhysicalAmplitudes(0.3 + 0.2j, -0.4j, 0.5,
+                                    0.6403124237).normalized()
+
+
+@pytest.mark.parametrize("n_bar, amps", [
+    (0.1, DEFAULT_AMPLITUDES), (1.0, DEFAULT_AMPLITUDES),
+    (10.0, DEFAULT_AMPLITUDES), (0.1, COMPLEX_HEATED), (10.0, COMPLEX_HEATED),
+], ids=["0.1", "1.0", "10.0", "complex-0.1", "complex-10.0"])
 @pytest.mark.parametrize("grid", DEFAULT_GRIDS, ids=["8", "16", "32"])
-def test_kernel_matches_per_offset_loop_heated(n_bar, grid):
+def test_kernel_matches_per_offset_loop_heated(n_bar, amps, grid):
     # the heated state has 5 nonzero diagonals; on [-32, 32]^2 the envelope
     # underflows on 28,576 of the 66,049 points
-    assert_kernel_matches_per_offset_loop(heated_rho(n_bar), grid)
+    assert_kernel_matches_per_offset_loop(heated_rho(n_bar, amps), grid)
 
 
 @pytest.mark.parametrize("rho", [random_complex_density(6, seed=7),
