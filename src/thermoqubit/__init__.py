@@ -24,7 +24,7 @@ if "numpy" not in _sys.modules and not any(
     _os.environ["MKL_NUM_THREADS"] = "1"
 
 from .errors import CutoffError, GridWideningError
-from .fock import build_ladder, reduce_pure_state
+from .fock import reduce_pure_state
 from .gates import (
     LogicalState,
     cnot_logical,
@@ -72,7 +72,6 @@ __all__ = [
     "ThermalParams",
     "WignerGrid",
     "auto_cutoff",
-    "build_ladder",
     "cnot_logical",
     "decode",
     "encode",

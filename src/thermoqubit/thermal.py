@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError
-from .fock import build_ladder
 
 TAIL_TOL_DEFAULT = 1e-10
 CUTOFF_CAP = 512
@@ -325,26 +324,27 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
     cutoff+4 and cropped, so the +4 ladder shift never truncates a visible
     amplitude.  Serves as the independent oracle for the expansion path.
 
-    The ladder powers are real products (a^+2 = a^+ a^+, a^+4 = a^+2 a^+2)
-    and the diagonal rho_thermal scales the columns of f, so the only
-    complex matrix product is (f rho_thermal) f^dagger.  Each entry of the
-    skipped products has a single nonzero term, so the result has the bits
-    of the complex products f rho_thermal f^dagger written out in full.
+    f is written on its four nonzero diagonals, one per raising power, and
+    the diagonal rho_thermal scales the columns of f, so the only matrix
+    product is (f rho_thermal) f^dagger.  Each entry of the skipped
+    products (the ladder powers a^+ a^+ and a^+2 a^+2, and the products
+    with rho_thermal) has a single nonzero term, so the result has the
+    bits of the complex products f rho_thermal f^dagger written out in full.
     """
     amps.require_normalized()
     validate_cutoff(cutoff, params)
     inner = cutoff + 4
-    r = np.ascontiguousarray(build_ladder(inner)[1].real)
-    r2 = r @ r
-    r4 = r2 @ r2
     coeffs = {p: c[0] for p, c in
               _ladder_coefficients(amps, np.array([params.u])).items()}
-    # summed in place, left to right, and r, r2, r4 released once summed
-    f = coeffs[0] * np.eye(inner + 1, dtype=complex)
-    f += coeffs[1] * r
-    f += coeffs[2] * r2
-    f += coeffs[4] * r4
-    del r, r2, r4
+    # (a^+)^p has the one nonzero diagonal p below the main one, whose
+    # entry n is sqrt((n+1)...(n+p)), multiplied up as the real products
+    # r @ r and r2 @ r2 multiply it
+    sq = np.sqrt(np.arange(1.0, inner + 1))
+    sq2 = sq[1:] * sq[:-1]
+    f = np.zeros((inner + 1, inner + 1), dtype=complex)
+    for p, root in ((0, np.ones(inner + 1)), (1, sq), (2, sq2),
+                    (4, sq2[2:] * sq2[:-2])):
+        np.fill_diagonal(f[p:], coeffs[p] * root)
     f_dagger = f.conj().T
     f *= params.k * params.k1 ** np.arange(inner + 1)
     rho_inner = f @ f_dagger
@@ -400,26 +400,48 @@ def _sector_eigensystem(cutoff: int, sector: int
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^j for j mod 4, exact
 
 
-def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
-                      inverse: bool = False) -> np.ndarray:
-    """U(beta) data, or U^+(beta) data with inverse=True, for two-mode
-    vector data, as matrix-vector products: no block of U(beta) is formed.
+def _sector_apply(theta: float, cutoff: int, sector: int, x: np.ndarray,
+                  inverse: bool = False) -> np.ndarray:
+    """U(beta) x, or U^+(beta) x with inverse=True, for the slice x of one
+    n - n_tilde sector, as matrix-vector products: the block of U(beta) is
+    not formed.
 
-    U(beta) = exp(theta G) is block-diagonal over the n - n_tilde sectors,
-    so each sector acts on its own slice of the vector.  From the cached
-    eigensystem of the sector (see `_sector_eigensystem`),
+    From the cached eigensystem of the sector (see `_sector_eigensystem`),
 
         exp(theta G) = M = S Q diag(exp(-i theta w)) Q^T S^+.
 
     G is normal, so this spectral route is well conditioned (Moler & Van
     Loan, "Nineteen dubious ways to compute the exponential of a matrix",
     SIAM Rev. 45, 3 (2003)).  The block is real, Re M, up to rounding, so
-    it applies to the real and imaginary parts of a slice separately, each
-    as Re(M x); the inverse is the transposed block, which swaps S and S^+.
+    it applies to the real and imaginary parts of x separately, each as
+    Re(M x); the inverse is the transposed block, which swaps S and S^+.
     In this real convention U(beta) maps the doubled vacuum to
     sum_n sech(theta) tanh(theta)^n |n, n>, all coefficients nonnegative.
-    Only the sectors that data's nonzero entries occupy are applied; the
-    others map zero to zero.
+    """
+    w, q = _sector_eigensystem(cutoff, sector)
+    s = _I_POWERS[np.arange(len(w)) % 4]
+    left, right = (s.conj(), s) if inverse else (s, s.conj())
+    # the columns Re x and Im x, each times S^+.  Viewed as floats, a
+    # complex array is its (real, imaginary) pairs, so one real product
+    # applies Q^T, or Q, to all four real columns at once
+    parts = right[:, None] * np.asarray(x, dtype=complex
+                                        ).view(float).reshape(-1, 2)
+    parts = ((q.T @ parts.view(float)).view(complex)
+             * np.exp(-1j * theta * w)[:, None])
+    re_m = (left[:, None] * (q @ parts.view(float)).view(complex)).real
+    return re_m[:, 0] + 1j * re_m[:, 1]  # Re(M) Re x + i Re(M) Im x
+
+
+def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
+                      inverse: bool = False) -> np.ndarray:
+    """U(beta) data, or U^+(beta) data with inverse=True, for a dense
+    two-mode vector data in the composite index n_tilde * (cutoff + 1) + n
+    (the gate check's form).
+
+    U(beta) = exp(theta G) is block-diagonal over the n - n_tilde sectors,
+    so `_sector_apply` acts on each sector's slice of the vector.  Only the
+    sectors that data's nonzero entries occupy are applied; the others map
+    zero to zero.
     """
     d = cutoff + 1
     occupied = np.flatnonzero(data)
@@ -427,82 +449,57 @@ def _bogoliubov_apply(theta: float, cutoff: int, data: np.ndarray,
     # a sorted set, not np.unique, which imports numpy.ma
     for sector in sorted(set((occupied % d - occupied // d).tolist())):
         idx = _pair_sector_indices(cutoff, sector)
-        w, q = _sector_eigensystem(cutoff, sector)
-        s = _I_POWERS[np.arange(len(w)) % 4]
-        left, right = (s.conj(), s) if inverse else (s, s.conj())
-        # the columns Re x and Im x of the slice x, each times S^+.  Viewed
-        # as floats, a complex array is its (real, imaginary) pairs, so one
-        # real product applies Q^T, or Q, to all four real columns at once
-        parts = right[:, None] * np.asarray(data[idx], dtype=complex
-                                            ).view(float).reshape(-1, 2)
-        parts = ((q.T @ parts.view(float)).view(complex)
-                 * np.exp(-1j * theta * w)[:, None])
-        re_m = (left[:, None] * (q @ parts.view(float)).view(complex)).real
-        out[idx] = re_m[:, 0] + 1j * re_m[:, 1]  # Re(M) Re x + i Re(M) Im x
+        out[idx] = _sector_apply(theta, cutoff, sector, data[idx], inverse)
     return out
 
 
-def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> np.ndarray:
-    """U(beta)|0, 0_tilde>: the doubled vacuum lives in the n = n_tilde
-    sector, which the pair generator never leaves, so only that sector is
-    applied."""
-    vac = np.zeros((cutoff + 1) ** 2, dtype=complex)
+def _thermal_vacuum_vector(params: ThermalParams, cutoff: int) -> dict:
+    """U(beta)|0, 0_tilde> in sector form: the doubled vacuum lives in the
+    n = n_tilde sector, which the pair generator never leaves, so it is
+    that sector alone."""
+    vac = np.zeros(cutoff + 1, dtype=complex)
     vac[0] = 1.0
-    return _bogoliubov_apply(params.theta, cutoff, vac)
+    return {0: _sector_apply(params.theta, cutoff, 0, vac)}
 
 
 def _apply_original(op: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """(op x I) applied to two-mode vector data without forming op x I:
-    in the [n_tilde, n] view the original index is the column."""
+    """(op x I) applied to dense two-mode vector data without forming
+    op x I: in the [n_tilde, n] view the original index is the column."""
     d = op.shape[0]
     return (data.reshape(d, d) @ op.T).reshape(-1)
 
 
-def _raise_original(vec: np.ndarray) -> np.ndarray:
-    """(a^dagger x I) applied to a two-mode vector (amplitude above the
-    cutoff is dropped)."""
-    d = math.isqrt(len(vec))
-    m = vec.reshape(d, d)  # [n_tilde, n]
-    out = np.zeros_like(m)
-    np.multiply(m[:, :-1], np.sqrt(np.arange(1.0, d)), out=out[:, 1:])
-    return out.reshape(-1)
-
-
 def thermal_number_states(params: ThermalParams, cutoff: int
-                          ) -> list[np.ndarray]:
-    """Purified thermal Fock states |0(b)>, |1(b)>, |2(b)>, |4(b)>.
+                          ) -> list[dict]:
+    """Purified thermal Fock states |0(b)>, |1(b)>, |2(b)>, |4(b)>, each in
+    the sector form of `fock` (one sector each: 0, 1, 2 and 4).
 
     |n(b)> = (a^dagger)^n |0(b)> / (u^n sqrt(n!)) on the doubled space;
-    the 1/u^n factors make each state unit norm.  Each power of a^dagger
-    is raised from the unscaled power before it and then scaled in place,
-    and the third power is dropped once the fourth is raised, so at most
-    five doubled vectors are alive at once.
+    the 1/u^n factors make each state unit norm.  a^dagger x I moves sector
+    p to sector p + 1, entry j times sqrt(j + p + 1), and drops the entry
+    that would leave the cutoff.  Each power is raised from the unscaled
+    power before it and then scaled in place, so the states hold about
+    4 (cutoff + 1) complex entries between them.
     """
     validate_cutoff(cutoff, params)
     u = params.u
-    v0 = _thermal_vacuum_vector(params, cutoff)
-    v1 = _raise_original(v0)
-    v2 = _raise_original(v1)
+    v0 = _thermal_vacuum_vector(params, cutoff)[0]
+    v1 = v0[:-1] * np.sqrt(np.arange(1.0, cutoff + 1))
+    v2 = v1[:-1] * np.sqrt(np.arange(2.0, cutoff + 1))
     v1 /= u
-    v3 = _raise_original(v2)
+    v3 = v2[:-1] * np.sqrt(np.arange(3.0, cutoff + 1))
     v2 /= math.sqrt(2.0) * u**2
-    v4 = _raise_original(v3)
-    del v3
+    v4 = v3[:-1] * np.sqrt(np.arange(4.0, cutoff + 1))
     v4 /= math.sqrt(24.0) * u**4
-    return [v0, v1, v2, v4]
+    return [{0: v0}, {1: v1}, {2: v2}, {4: v4}]
 
 
-def _superpose(amps: PhysicalAmplitudes, states: list[np.ndarray]
-               ) -> np.ndarray:
+def _superpose(amps: PhysicalAmplitudes, states: list[dict]) -> dict:
     """|Psi(b)> = x|0(b)> + y|1(b)> + z|2(b)> + w|4(b)> on the doubled
-    space, from `thermal_number_states` output, summed left to right."""
-    s0, s1, s2, s4 = states
-    x, y, z, w = amps.as_tuple()
-    psi = x * s0
-    psi += y * s1
-    psi += z * s2
-    psi += w * s4
-    return psi
+    space, in sector form, from `thermal_number_states` output: the four
+    states occupy four different sectors, so each is only scaled."""
+    return {sector: c * vec for c, state in zip(amps.as_tuple(), states)
+            for sector, vec in state.items()}
 
 
 def gate_thermalization_residual(gate: np.ndarray, amps_in: PhysicalAmplitudes,

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from dense_oracles import bogoliubov_unitary, thermal_vacuum_density
+from dense_oracles import bogoliubov_unitary, thermal_vacuum_density, to_sectors
 from thermoqubit import cli
 from thermoqubit.fock import reduce_pure_state
 from thermoqubit.observables import fidelity_columns, mandel_columns
@@ -174,7 +174,7 @@ def test_criterion_09_bogoliubov_consistency():
     vac = np.zeros(d * d)
     vac[0] = 1.0
     thermal_vac = unitary @ vac
-    red = reduce_pure_state(thermal_vac)
+    red = reduce_pure_state(to_sectors(thermal_vac))
     geometric = thermal_vacuum_density(params, cutoff)
     dev = np.abs(red - geometric).max()
     assert dev < 1e-10

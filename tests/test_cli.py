@@ -857,9 +857,10 @@ def test_verify_density_checks_take_complex_amplitudes():
 
 
 def test_verify_density_checks_memory_at_n_bar_10():
-    # the n_bar = 10 density checks (cutoff 359) set verify's peak memory;
-    # each doubled-space array is dropped after its last read, so no more
-    # than 8 doubled vectors of (cutoff + 1)^2 complex entries are alive
+    # the n_bar = 10 density checks (cutoff 359): the purified states are
+    # held as their sectors and each d x d matrix is dropped after its last
+    # read, so no more than 3.5 matrices of (cutoff + 1)^2 complex entries
+    # are alive (the operator route's f, f^dagger and rho set the peak)
     amps = thermal.DEFAULT_AMPLITUDES
     params = thermal.ThermalParams(10.0)
     cutoff = thermal.auto_cutoff(10.0)
@@ -873,7 +874,7 @@ def test_verify_density_checks_memory_at_n_bar_10():
     finally:
         tracemalloc.stop()
     assert all(c.passed for c in checks)
-    assert peak <= 8 * 16 * (cutoff + 1) ** 2
+    assert peak <= 3.5 * 16 * (cutoff + 1) ** 2
 
 
 def test_gate_checks_diagonalize_each_sector_once(monkeypatch):

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dense_oracles import identity, projector, tensor_product
-from thermoqubit.fock import build_ladder, reduce_pure_state
+from dense_oracles import (
+    build_ladder,
+    dense_partial_trace,
+    identity,
+    projector,
+    tensor_product,
+    to_dense,
+    to_sectors,
+)
+from thermoqubit.fock import reduce_pure_state
 
 RNG = np.random.default_rng(1234)
 
@@ -19,10 +27,15 @@ def basis_vector(cutoff, n):
     return np.eye(cutoff + 1, dtype=complex)[n]
 
 
-def random_pure_state(cutoff):
-    d = (cutoff + 1) ** 2
-    v = RNG.normal(size=d) + 1j * RNG.normal(size=d)
-    return v / np.linalg.norm(v)
+def random_sector_state(cutoff, sectors=None):
+    """A random normalized two-mode state in sector form, on the given
+    sectors (default: all of 0..cutoff)."""
+    if sectors is None:
+        sectors = range(cutoff + 1)
+    state = {s: RNG.normal(size=cutoff + 1 - s)
+             + 1j * RNG.normal(size=cutoff + 1 - s) for s in sectors}
+    norm = math.sqrt(sum(np.vdot(v, v).real for v in state.values()))
+    return {s: v / norm for s, v in state.items()}
 
 
 def partial_trace(rho):
@@ -149,16 +162,19 @@ def test_expm_anti_hermitian_is_unitary(squeezer_40):
 
 
 def test_partial_trace_product_state():
-    # |a>|b> reduces to |a><a| <b|b> on the original mode
+    # |a>|b> reduces to |a><a| <b|b> on the original mode; b on
+    # n_tilde <= 1 and a on n >= 1 keep every sector n - n_tilde >= 0
     a = 2.0 * basis_vector(4, 1) + 1j * basis_vector(4, 3)
-    b = RNG.normal(size=5) + 1j * RNG.normal(size=5)
-    red = reduce_pure_state(np.kron(b, a))
+    b = np.zeros(5, dtype=complex)
+    b[:2] = RNG.normal(size=2) + 1j * RNG.normal(size=2)
+    red = reduce_pure_state(to_sectors(np.kron(b, a)))
     expect = np.outer(a, a.conj()) * np.vdot(b, b)
     assert np.abs(red - expect).max() < 1e-12
 
 
 def test_partial_trace_preserves_trace():
-    red = reduce_pure_state(3.0 * random_pure_state(5))
+    state = {s: 3.0 * v for s, v in random_sector_state(5).items()}
+    red = reduce_pure_state(state)
     assert abs(np.trace(red) - 9.0) < 1e-12
 
 
@@ -171,7 +187,7 @@ def test_partial_trace_squeezed_vacuum_is_geometric(squeezer_40):
     # reduction of the two-mode squeezed vacuum must be the thermal
     # diagonal with n_bar = sinh(theta)^2
     unitary, theta, cutoff = squeezer_40
-    red = reduce_pure_state(unitary[:, 0])
+    red = reduce_pure_state(to_sectors(unitary[:, 0]))
     nbar = math.sinh(theta) ** 2
     k = 1.0 / (1.0 + nbar)
     k1 = nbar / (1.0 + nbar)
@@ -182,6 +198,31 @@ def test_partial_trace_squeezed_vacuum_is_geometric(squeezer_40):
 def test_reduce_pure_state_matches_partial_trace():
     # the pure-state reduction against an explicit partial trace of the
     # (dim^2 x dim^2) projector, on a state with no symmetry
-    v = random_pure_state(6)
-    red = reduce_pure_state(v)
-    assert np.abs(red - partial_trace(projector(v))).max() < 1e-13
+    state = random_sector_state(6)
+    red = reduce_pure_state(state)
+    assert np.abs(red - partial_trace(projector(to_dense(state, 6)))).max() < 1e-13
+
+
+@pytest.mark.parametrize("cutoff, sectors", [
+    (8, None), (40, (0, 1, 2, 4)), (40, (3,)), (359, (0, 1, 2, 4))])
+def test_reduce_pure_state_matches_dense_product(cutoff, sectors):
+    # sector by sector against the dense m^T conj(m) of the [n_tilde, n]
+    # view: the two sum each entry's terms in different orders
+    state = random_sector_state(cutoff, sectors)
+    red = reduce_pure_state(state)
+    expect = dense_partial_trace(to_dense(state, cutoff))
+    assert red.shape == expect.shape == (cutoff + 1, cutoff + 1)
+    assert np.abs(red - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_reduce_pure_state_rejects_negative_sector():
+    state = random_sector_state(6, (0, 2))
+    state[-1] = np.ones(6, dtype=complex)
+    with pytest.raises(ValueError, match="negative sector -1"):
+        reduce_pure_state(state)
+
+
+def test_reduce_pure_state_rejects_sectors_of_two_cutoffs():
+    state = {0: np.ones(7, dtype=complex), 2: np.ones(7, dtype=complex)}
+    with pytest.raises(ValueError, match="different cutoffs"):
+        reduce_pure_state(state)

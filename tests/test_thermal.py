@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +8,22 @@ import scipy.linalg
 
 from dense_oracles import (
     bogoliubov_unitary,
+    build_ladder,
+    dense_partial_trace,
     identity,
+    number_states,
+    operator_route_density,
     sector_exponential,
     sector_generator,
+    superpose,
     tensor_product,
     thermal_vacuum_density,
+    to_dense,
+    to_sectors,
 )
 from thermoqubit import thermal
 from thermoqubit.errors import CutoffError
-from thermoqubit.fock import build_ladder, reduce_pure_state
+from thermoqubit.fock import reduce_pure_state
 from thermoqubit.gates import half_period_gate_matrix
 from thermoqubit.observables import GridSpec, heated_wigner
 from thermoqubit.thermal import (
@@ -311,6 +319,18 @@ def test_operator_route_matches_full_complex_products(amps, n_bar):
     assert np.array_equal(rho, expect[: cutoff + 1, : cutoff + 1])
 
 
+@pytest.mark.parametrize("n_bar", [0.0, 0.1, 1.0, 10.0, 14.0])
+@pytest.mark.parametrize("amps", [DEFAULT_AMPLITUDES, PhysicalAmplitudes(
+    0.5 + 0.1j, -0.3j, 0.4 - 0.2j, math.sqrt(0.45) * 1j)],
+    ids=["default", "complex"])
+def test_operator_route_matches_ladder_products(amps, n_bar):
+    # f written on its four diagonals against f summed from the matrix
+    # products r @ r and r2 @ r2 of the real raising operator r
+    params, cutoff = params_for(n_bar), auto_cutoff(n_bar)
+    rho = thermal_state_density_operator(amps, params, cutoff)
+    assert np.array_equal(rho, operator_route_density(amps, params, cutoff))
+
+
 @pytest.mark.parametrize("n_bar", [0.1, 1.0, 10.0])
 def test_operator_route_unit_trace(n_bar):
     cutoff = auto_cutoff(n_bar)
@@ -416,7 +436,7 @@ def test_bogoliubov_vacuum_reduction_is_geometric():
     cutoff = 40
     u = bogoliubov_unitary(p, cutoff)
     state = u @ doubled_vacuum(cutoff)
-    red = reduce_pure_state(state)
+    red = reduce_pure_state(to_sectors(state))
     expect = thermal_vacuum_density(p, cutoff)
     assert np.abs(red - expect).max() < 1e-10
 
@@ -437,11 +457,11 @@ def test_doubled_expectation_equals_thermal_trace(a_op):
     # pure-state average on the doubled space vs statistical average
     p = params_for(0.8)
     cutoff = auto_cutoff(0.8)
-    vac = thermal_number_states(p, cutoff)[0]
-    d = cutoff + 1
-    occ = np.arange(d, dtype=float)
+    # |0(b)> is its n = n_tilde sector: entry n is the amplitude of |n, n>
+    vac = thermal_number_states(p, cutoff)[0][0]
+    occ = np.arange(cutoff + 1, dtype=float)
     weights = occ if a_op == "number" else occ**2
-    lhs = float(np.sum(np.abs(vac.reshape(d, d)) ** 2 * weights[None, :]))
+    lhs = float(np.sum(np.abs(vac) ** 2 * weights))
     diag = np.diag(thermal_vacuum_density(p, cutoff)).real
     rhs = float(diag @ weights)
     assert abs(lhs - rhs) < 1e-9
@@ -449,17 +469,56 @@ def test_doubled_expectation_equals_thermal_trace(a_op):
 
 def test_thermal_number_states_zero_temperature():
     states = thermal_number_states(params_for(0.0), 12)
-    for vec, n in zip(states, (0, 1, 2, 4)):
-        d = 13
-        full = np.zeros(d * d, dtype=complex)
-        full[n] = 1.0  # |n, 0_tilde> sits at composite index n
-        assert np.abs(vec - full).max() < 1e-14
+    for state, n in zip(states, (0, 1, 2, 4)):
+        assert list(state) == [n]
+        expect = np.zeros(13 - n, dtype=complex)
+        expect[0] = 1.0  # |n, 0_tilde> is entry 0 of sector n
+        assert np.abs(state[n] - expect).max() < 1e-14
 
 
 def test_thermal_number_states_unit_norm():
     p = params_for(math.sinh(0.5) ** 2)
-    for vec in thermal_number_states(p, 40):
+    for state in thermal_number_states(p, 40):
+        (vec,) = state.values()
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.1, 1.0, 10.0, 14.0])
+@pytest.mark.parametrize("amps", [DEFAULT_AMPLITUDES, PhysicalAmplitudes(
+    0.5 + 0.1j, -0.3j, 0.4 - 0.2j, math.sqrt(0.45) * 1j)],
+    ids=["default", "complex"])
+def test_sector_states_match_dense_states(amps, n_bar):
+    # the sector entries carry the bits of the dense purified states, whose
+    # other entries are all zero; the sector reduction stays within
+    # rounding of the dense product
+    p, cutoff = params_for(n_bar), auto_cutoff(n_bar)
+    states = thermal_number_states(p, cutoff)
+    dense = number_states(p, cutoff)
+    for state, vec, n in zip(states, dense, (0, 1, 2, 4)):
+        assert list(state) == [n] and len(state[n]) == cutoff + 1 - n
+        assert np.array_equal(to_dense(state, cutoff), vec)
+    psi = _superpose(amps, states)
+    dense_psi = superpose(amps, dense)
+    assert np.array_equal(to_dense(psi, cutoff), dense_psi)
+    red = reduce_pure_state(psi)
+    expect = dense_partial_trace(dense_psi)
+    assert np.abs(red - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_thermal_number_states_memory_at_cutoff_359():
+    # the states are four sectors of at most cutoff + 1 entries each; the
+    # sector-0 eigensystem is cached first, as verify's second use finds it
+    params = params_for(10.0)
+    cutoff = 359
+    thermal._sector_eigensystem(cutoff, 0)
+    tracemalloc.start()
+    try:
+        states = thermal_number_states(params, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 4
+    assert peak <= 16 * 16 * (cutoff + 1)
 
 
 def test_superposition_reduction_matches_expansion():
@@ -598,7 +657,10 @@ def test_gate_residual_rejects_wrong_shape():
 BUILT_CUTOFF = 20
 _BUILT_PARAMS = ThermalParams(0.3)
 _SQUARE = (BUILT_CUTOFF + 1,) * 2
-_TWO_MODE = ((BUILT_CUTOFF + 1) ** 2,)
+
+
+def _sector_shapes(*sectors):
+    return {s: (BUILT_CUTOFF + 1 - s,) for s in sectors}
 
 
 def _superposed():
@@ -618,13 +680,18 @@ def _superposed():
     (lambda: reduce_pure_state(_superposed()), _SQUARE),
     (lambda: DEFAULT_AMPLITUDES.as_vector(BUILT_CUTOFF), (BUILT_CUTOFF + 1,)),
     *[(lambda i=i: thermal_number_states(_BUILT_PARAMS, BUILT_CUTOFF)[i],
-       _TWO_MODE) for i in range(4)],
-    (_superposed, _TWO_MODE),
+       _sector_shapes(n)) for i, n in enumerate((0, 1, 2, 4))],
+    (_superposed, _sector_shapes(0, 1, 2, 4)),
 ], ids=["lowering", "raising", "gate", "thermal_vacuum", "expansion",
         "operator", "reduced", "as_vector", "number_0", "number_1",
         "number_2", "number_4", "superposed"])
 def test_builders_return_complex_arrays(build, shape):
+    # a two-mode state is a dict of one array per n - n_tilde sector, and
+    # `shape` then maps each sector to its array's shape
     out = build()
-    assert type(out) is np.ndarray
-    assert out.dtype == complex
-    assert out.shape == shape
+    arrays, shapes = ((out, shape) if isinstance(out, dict)
+                      else ({0: out}, {0: shape}))
+    assert {s: a.shape for s, a in arrays.items()} == shapes
+    for a in arrays.values():
+        assert type(a) is np.ndarray
+        assert a.dtype == complex
