@@ -45,9 +45,7 @@ from .thermal import (
     TAIL_TOL_DEFAULT,
     PhysicalAmplitudes,
     ThermalParams,
-    _complex_div,
     _density_entries,
-    _float_pow,
     _ladder_coefficients,
     thermal_state_density_expansion,
     validate_cutoff,
@@ -185,13 +183,11 @@ def _fidelity_n_bar(n_bar) -> np.ndarray:
     """`_block_n_bar` of a fidelity reader; FloatingPointError at the first
     value whose u^8, the printed series' highest power, overflows."""
     n_bar = _block_n_bar(n_bar)
-    for value in n_bar.tolist():
-        # u^8 as `_float_pow` computes it
-        try:
-            math.sqrt(1.0 + value) ** 8
-        except OverflowError:
-            raise FloatingPointError(f"u^8 = (1 + n_bar)^4 overflows at "
-                                     f"n_bar = {value}") from None
+    with np.errstate(over="ignore"):
+        over = np.flatnonzero(np.isinf(np.sqrt(1.0 + n_bar) ** 8))
+    if over.size:
+        raise FloatingPointError(f"u^8 = (1 + n_bar)^4 overflows at "
+                                 f"n_bar = {float(n_bar[over[0]])}")
     return n_bar
 
 
@@ -202,12 +198,9 @@ def _fidelity_series_terms(amps: PhysicalAmplitudes, u: np.ndarray):
     Each entry is (coefficient, power of k1).  k1^0 is taken as 1 even at
     zero temperature (0^0 = 1).  Several terms are structurally suspect
     (unconjugated products, odd u powers); they are evaluated as printed.
-    Every coefficient has the bits of the scalar series: powers of u go
-    through `_float_pow`, and a Python complex numerator divides through
-    `_complex_div` (the np.conj ones divide as numpy complex scalars do).
     """
     x, y, z, w = [complex(a) for a in amps.as_tuple()]
-    up = {j: _float_pow(u, j) for j in (2, 3, 4, 5, 6, 8)}
+    up = {j: u ** j for j in (2, 3, 4, 5, 6, 8)}
     up[1] = u
     ax2, ay2 = abs(x) ** 2, abs(y) ** 2
     az2, aw2 = abs(z) ** 2, abs(w) ** 2
@@ -220,7 +213,7 @@ def _fidelity_series_terms(amps: PhysicalAmplitudes, u: np.ndarray):
         (ax2 * ay2 / up[1], 0),
         (ax2 ** 2 * ay2 / up[2], 1),
         (ay2 ** 2 / up[2], 0),
-        (_complex_div(s2 * ay2 * x * z, up[1]), 1),
+        (s2 * ay2 * x * z / up[1], 1),
         (ay2 * az2 / up[3], 0),
         (s24 * ay2 * aw2 / (s24 * up[5]), 0),
         (s2 * ax2 * az2 / up[2], 0),
@@ -229,7 +222,7 @@ def _fidelity_series_terms(amps: PhysicalAmplitudes, u: np.ndarray):
         (ax2 * az2, 2),
         (2 * ay2 * az2 / up[2], 1),
         (az2 ** 2 / up[4], 2),
-        (_complex_div(s6 * x * w * az2, up[2]), 2),
+        (s6 * x * w * az2 / up[2], 2),
         (s6 * az2 * aw2 / (s24 * up[6]), 0),
         (s24 * x * np.conj(w) / (s24 * up[4]), 0),
         (s24 * az2 * aw2 / (s24 * up[5]), 0),
@@ -247,7 +240,7 @@ def _fidelity_series(amps: PhysicalAmplitudes, n_bar: np.ndarray) -> np.ndarray:
     by term and square-rooted (NaN where the sum is negative)."""
     k = 1.0 / (1.0 + n_bar)
     k1 = n_bar / (1.0 + n_bar)
-    k1_pow = {j: _float_pow(k1, j) for j in range(1, 5)}
+    k1_pow = {j: k1 ** j for j in range(1, 5)}
     total = np.zeros(len(n_bar), dtype=complex)
     for coef, npow in _fidelity_series_terms(amps, np.sqrt(1.0 + n_bar)):
         total += coef * k * (k1_pow[npow] if npow else 1.0)
@@ -347,12 +340,12 @@ def _mandel_series(amps: PhysicalAmplitudes, n_bar: np.ndarray
     printed; the numeric path arbitrates.
     """
     c = _mandel_coefficients(amps)
-    u2 = _float_pow(np.sqrt(1.0 + n_bar), 2)
-    v2 = _float_pow(np.sqrt(n_bar), 2)
+    u2 = np.sqrt(1.0 + n_bar) ** 2
+    v2 = np.sqrt(n_bar) ** 2
     den = c["c1"] * v2 + c["c2"] * u2
     num = ((c["c6"] - c["c4"]) * u2 * v2
-           + (c["c7"] - c["c3"]) * _float_pow(v2, 2)
-           + (c["c8"] - c["c5"]) * _float_pow(u2, 2) - c["c1"] * v2 - c["c2"] * u2)
+           + (c["c7"] - c["c3"]) * v2 ** 2
+           + (c["c8"] - c["c5"]) * u2 ** 2 - c["c1"] * v2 - c["c2"] * u2)
     defined = den >= _MEAN_OCCUPATION_EPS
     closed = np.full(len(den), np.nan)
     closed[defined] = num[defined] / den[defined]
@@ -507,15 +500,14 @@ def _wigner_values(rho: np.ndarray, spec: GridSpec) -> np.ndarray:
     sums = np.empty((len(offsets), r2.size), dtype=complex)
     sums.real, sums.imag = radial
 
-    w = np.zeros(qg.shape, dtype=complex)
+    w = np.zeros(qg.shape)
     base = np.sqrt(2.0) * (qg - 1j * pg)  # 2 conj(alpha)
     for acc, off in zip(sums, offsets):
         if off == 0:
-            w += acc[inv]
+            w += acc.real[inv]
         else:
             w += 2 * (base ** off * acc[inv]).real
-    w /= math.pi  # complex division, which rounds unlike w.real / math.pi
-    return w.real
+    return w / math.pi
 
 
 def wigner_from_density(rho: np.ndarray, grid: GridSpec | None = None, *,

@@ -121,39 +121,15 @@ class PhysicalAmplitudes:
 DEFAULT_AMPLITUDES = PhysicalAmplitudes(0.2, 0.3, 0.6, math.sqrt(0.51))
 
 
-def _float_pow(base: np.ndarray, exponent: int) -> np.ndarray:
-    """base ** exponent elementwise, rounded as a Python float power is (the
-    C library's pow).  numpy's vectorized power rounds differently in the
-    last bit for a few percent of inputs."""
-    return np.array([b ** exponent for b in base.tolist()])
-
-
-def _complex_div(numer: complex, den: np.ndarray) -> np.ndarray:
-    """numer / d for each real d of den, rounded as Python's complex
-    division rounds it: part by part.  numpy's complex division multiplies
-    by the reciprocal instead."""
-    return numer.real / den + 1j * (numer.imag / den)
-
-
-def _mul_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * conj(b) elementwise, each real product rounded on its own as a
-    complex scalar product is.  numpy's vectorized complex multiply fuses
-    them."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real + a.imag * b.imag
-    out.imag = a.imag * b.real - a.real * b.imag
-    return out
-
-
 def _ladder_coefficients(amps: PhysicalAmplitudes, u: np.ndarray) -> dict:
     """Coefficients of f = x + (y/u) a^+ + (z/(sqrt2 u^2)) a^+2 + (w/(sqrt24 u^4)) a^+4,
     keyed by the power of the raising operator: one complex array over u."""
     x, y, z, w = amps.as_tuple()
     return {
         0: np.full(u.shape, x),
-        1: _complex_div(y, u),
-        2: _complex_div(z, math.sqrt(2.0) * _float_pow(u, 2)),
-        4: _complex_div(w, math.sqrt(24.0) * _float_pow(u, 4)),
+        1: y / u,
+        2: z / (math.sqrt(2.0) * u ** 2),
+        4: w / (math.sqrt(24.0) * u ** 4),
     }
 
 
@@ -284,7 +260,7 @@ def _density_entries(amps: PhysicalAmplitudes, n_bar: np.ndarray, size: int,
             length = size - max(p, q)  # keep both |n+p> and <n+q|
             if length <= 0 or (diagonal and p != q):
                 continue
-            vals = (_mul_conj(coeffs[p], coeffs[q])[:, None] * geom[:, :length]
+            vals = ((coeffs[p] * np.conj(coeffs[q]))[:, None] * geom[:, :length]
                     * roots[p][:length] * roots[q][:length])
             start, step = (p, 1) if diagonal else (p * size + q, size + 1)
             flat[:, start: start + length * step: step] += vals
@@ -326,10 +302,7 @@ def thermal_state_density_operator(amps: PhysicalAmplitudes,
 
     f is written on its four nonzero diagonals, one per raising power, and
     the diagonal rho_thermal scales the columns of f, so the only matrix
-    product is (f rho_thermal) f^dagger.  Each entry of the skipped
-    products (the ladder powers a^+ a^+ and a^+2 a^+2, and the products
-    with rho_thermal) has a single nonzero term, so the result has the
-    bits of the complex products f rho_thermal f^dagger written out in full.
+    product is (f rho_thermal) f^dagger.
     """
     amps.require_normalized()
     validate_cutoff(cutoff, params)

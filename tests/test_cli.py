@@ -856,6 +856,26 @@ def test_verify_density_checks_take_complex_amplitudes():
     assert all(c.passed for c in checks.values())
 
 
+def test_verify_density_hermitian_keeps_a_nan(monkeypatch):
+    # a NaN in the operator-route rho fails the Hermiticity check, though
+    # its residual is neither the first nor the last of the three taken
+    build = thermal.thermal_state_density_operator
+
+    def with_nan(*args):
+        rho = build(*args)
+        rho[1, 2] = math.nan
+        return rho
+
+    monkeypatch.setattr(thermal, "thermal_state_density_operator", with_nan)
+    amps, params = thermal.DEFAULT_AMPLITUDES, thermal.ThermalParams(1.0)
+    cutoff = thermal.auto_cutoff(1.0)
+    rho = thermal.thermal_state_density_expansion(amps, params, cutoff)
+    checks = {c.name: c for c in verify._density_checks(amps, params, cutoff,
+                                                          rho)}
+    herm = checks["density_hermitian"]
+    assert math.isnan(herm.residual) and not herm.passed
+
+
 def test_verify_density_checks_memory_at_n_bar_10():
     # the n_bar = 10 density checks (cutoff 359): the purified states are
     # held as their sectors and each d x d matrix is dropped after its last

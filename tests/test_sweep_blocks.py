@@ -1,7 +1,7 @@
 """The sweeps evaluate n_bar in blocks: the sweep's block loop against each
-n_bar read as a one-point block, the block readers against the scalar
-arithmetic they replaced; and every benchmark command against its
-committed reference."""
+n_bar read as a one-point block, bit for bit; the block readers against
+the scalar arithmetic they replaced, to rounding; and every benchmark
+command against its committed reference."""
 
 import importlib
 import math
@@ -18,8 +18,6 @@ from thermoqubit.thermal import (
     DEFAULT_AMPLITUDES,
     PhysicalAmplitudes,
     ThermalParams,
-    _complex_div,
-    _mul_conj,
     auto_cutoff,
     resolve_cutoff,
     validate_cutoff,
@@ -106,21 +104,8 @@ def test_block_point_does_not_depend_on_its_block(amps, n_bar):
         assert [bits(c[i]) for c in mandel] == [bits(c[0]) for c in alone]
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(a=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
-                             allow_infinity=False),
-       b=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
-                            allow_infinity=False),
-       d=st.floats(0.5, 20.0))
-def test_scalar_rounding_helpers(a, b, d):
-    # the block arithmetic rounds as the scalar arithmetic it replaces
-    assert _complex_div(a, np.array([d]))[0] == a / d
-    assert (_mul_conj(np.array([a]), np.array([b]))[0]
-            == np.complex128(a) * np.conj(np.complex128(b)))
-
-
 # The scalar point-by-point arithmetic the block readers replaced, kept as
-# the reference their values must equal.
+# the reference their values must match to rounding.
 
 def _reference_rho(amps, params, size):
     u = params.u
@@ -175,6 +160,8 @@ def _reference_fidelity_series(amps, params):
 
 
 def _reference_mandel(amps, params, cutoff):
+    """(numeric Q, its scale, printed Q, its scale): each scale is the sum
+    of the magnitudes of the terms that cancel in that Q, since Q crosses 0."""
     # the diagonal as the point-by-point reader held it: a complex array
     # read through its real part, a strided view BLAS sums in its own order
     diag = np.diagonal(_reference_rho(amps, params, cutoff + 1)).copy().real
@@ -183,9 +170,11 @@ def _reference_mandel(amps, params, cutoff):
     numeric = (mean_n2 - mean_n**2 - mean_n) / mean_n
     c = observables._mandel_coefficients(amps)
     u2, v2 = params.u ** 2, math.sqrt(params.n_bar) ** 2
-    num = ((c["c6"] - c["c4"]) * u2 * v2 + (c["c7"] - c["c3"]) * v2**2
-           + (c["c8"] - c["c5"]) * u2**2 - c["c1"] * v2 - c["c2"] * u2)
-    return numeric, num / (c["c1"] * v2 + c["c2"] * u2)
+    terms = [(c["c6"] - c["c4"]) * u2 * v2, (c["c7"] - c["c3"]) * v2**2,
+             (c["c8"] - c["c5"]) * u2**2, -c["c1"] * v2, -c["c2"] * u2]
+    den = c["c1"] * v2 + c["c2"] * u2
+    return (numeric, (mean_n2 + mean_n**2 + mean_n) / mean_n,
+            sum(terms) / den, sum(abs(t) for t in terms) / den)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -200,10 +189,14 @@ def test_block_readers_equal_scalar_reference(amps, n_bar):
         params = ThermalParams(v)
         rho = _reference_rho(amps, params, 5)
         val = float(np.real(psi.conj() @ rho @ psi))
-        assert fid[0][i] == math.sqrt(max(val, 0.0))
-        assert bits(fid[1][i]) == bits(_reference_fidelity_series(amps, params))
-        numeric, closed = _reference_mandel(amps, params, cutoff)
-        assert (mandel[0][i], mandel[1][i]) == (numeric, closed)
+        expected = [math.sqrt(max(val, 0.0)),
+                    _reference_fidelity_series(amps, params)]
+        for got, want in zip((fid[0][i], fid[1][i]), expected):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0, nan_ok=True)
+        numeric, numeric_scale, closed, closed_scale = _reference_mandel(
+            amps, params, cutoff)
+        assert abs(mandel[0][i] - numeric) <= 1e-14 * numeric_scale
+        assert abs(mandel[1][i] - closed) <= 1e-14 * closed_scale
 
 
 def test_vacuum_at_zero_temperature_gives_undefined_mandel_row():
@@ -221,8 +214,10 @@ def test_vacuum_at_zero_temperature_gives_undefined_mandel_row():
     # sweep-fidelity takes no cutoff; its case keeps the id it had when it
     # did and checks its one limit, the overflow of u^8 = (1 + n_bar)^4
     (["sweep-fidelity", "--nbar-range", "1e78:0:3"], "n_bar = 1e+78"),
+    # ascending: the first overflowing point is the second of its block
+    (["sweep-fidelity", "--nbar-range", "0:2e78:3"], "n_bar = 1e+78"),
 ], ids=["mandel-past-cap", "mandel-explicit-cutoff",
-        "fidelity-explicit-cutoff"])
+        "fidelity-explicit-cutoff", "fidelity-overflow-inside-block"])
 def test_descending_sweep_names_first_failing_point(tmp_path, capsys, argv,
                                                     message):
     rc = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
